@@ -117,7 +117,7 @@ let micro ?(gates = []) ?gate_all () =
      every iteration, logged once as a whole pinball; 4 points of 2000
      instructions with 1500-instruction warm prefixes then drive the
      whole warm-replay stage (prefix capture + prefixed replay) per
-     run — the path [warm_replay_points] parallelises *)
+     run — the path [replay_points] parallelises *)
   let warm_whole, warm_points =
     let a = Sp_vm.Asm.create ~name:"warm-replay-4pt" () in
     Sp_vm.Asm.li a 1 0;
@@ -309,7 +309,7 @@ let micro ?(gates = []) ?gate_all () =
       Test.make ~name:"warm-replay-4pt"
         (Staged.stage (fun () ->
              ignore
-               (Pipeline.warm_replay_points Pipeline.default_options
+               (Pipeline.replay_points Pipeline.default_options
                   ~warmup_insns:1_500 warm_whole warm_points)));
       (* full pinball encode of the 64-page image: what one artifact
          save pays before the bytes hit the filesystem *)

@@ -62,7 +62,7 @@ let quiet_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for the parallel stages (suite fan-out, cold regional \
+    "Worker domains for the parallel stages (suite fan-out, regional \
      replays, k-means, variance sweep).  1 runs fully sequentially; 0 picks \
      the hardware's recommended parallelism.  Any value produces identical \
      results — only wall-clock changes."
@@ -473,16 +473,22 @@ let simpoints_cmd =
         match out with
         | None -> ()
         | Some dir ->
-            let saved = ref 1 in
-            ignore
-              (Sp_pinball.Store.save ~dir
-                 profile.Pipeline.sweep_whole.Sp_pinball.Logger.pinball);
-            Sp_pinball.Logger.scan_regions profile.Pipeline.sweep_whole
-              sel.Sp_simpoint.Sampler.points (fun pb ->
-                ignore (Sp_pinball.Store.save ~dir pb);
-                incr saved);
+            let whole = profile.Pipeline.sweep_whole in
+            ignore (Sp_pinball.Store.save ~dir whole.Sp_pinball.Logger.pinball);
+            let regions =
+              Sp_pinball.Logger.capture_warm_regions ~warmup_insns:0 whole
+                (Sp_simpoint.Simpoints.by_start sel.Sp_simpoint.Sampler.points)
+            in
+            Array.iter
+              (fun (wr : Sp_pinball.Logger.warm_region) ->
+                ignore
+                  (Sp_pinball.Store.save ~dir
+                     wr.Sp_pinball.Logger.warm_pinball))
+              regions;
             if not json then
-              Printf.printf "saved %d pinballs under %s\n" !saved dir
+              Printf.printf "saved %d pinballs under %s\n"
+                (1 + Array.length regions)
+                dir
   in
   Cmd.v
     (Cmd.info "simpoints"

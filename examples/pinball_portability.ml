@@ -37,7 +37,12 @@ let () =
       ~slice_len:built.Sp_workloads.Benchspec.slice_insns
       (Sp_pin.Bbv_tool.slices bbv)
   in
-  let regions = Logger.capture_regions whole sel.Sp_simpoint.Simpoints.points in
+  let regions =
+    Array.map
+      (fun (wr : Logger.warm_region) -> wr.Logger.warm_pinball)
+      (Logger.capture_warm_regions ~warmup_insns:0 whole
+         sel.Sp_simpoint.Simpoints.points)
+  in
   Printf.printf "Captured %d regional pinballs\n" (Array.length regions);
 
   (* 3. save them to disk *)

@@ -144,8 +144,8 @@ let fig3a ?(options = Pipeline.default_options) ?(max_ks = [ 15; 20; 25; 30; 35 
           profile.Pipeline.sweep_slices
       in
       let points =
-        Pipeline.replay_points options profile.Pipeline.sweep_whole
-          sel.Sp_simpoint.Simpoints.points
+        Pipeline.replay_points options ~warmup_insns:0
+          profile.Pipeline.sweep_whole sel.Sp_simpoint.Simpoints.points
       in
       let stats =
         Runstats.of_points ~label:(Printf.sprintf "MaxK %d" max_k) points
@@ -183,8 +183,8 @@ let fig3b ?(options = Pipeline.default_options)
           ~slice_len:(Scale.of_minsn minsn) slices
       in
       let points =
-        Pipeline.replay_points options profile.Pipeline.sweep_whole
-          sel.Sp_simpoint.Simpoints.points
+        Pipeline.replay_points options ~warmup_insns:0
+          profile.Pipeline.sweep_whole sel.Sp_simpoint.Simpoints.points
       in
       let stats =
         Runstats.of_points ~label:(Printf.sprintf "%dM" minsn) points
@@ -794,10 +794,11 @@ let ablation_warmup ?(options = Pipeline.default_options)
         List.map
           (fun ((p : Pipeline.sweep_profile), sel) ->
             let points =
-              Pipeline.warm_replay_points options
+              Pipeline.replay_points options
                 ~warmup_insns:(Scale.of_minsn minsn) p.Pipeline.sweep_whole
                 sel.Sp_simpoint.Simpoints.points
             in
+            Pipeline.count_warm_points points;
             let stats = Runstats.of_points ~label:"warm" points in
             let w = p.Pipeline.sweep_whole_stats in
             ( signed_err w.Runstats.l1d_miss stats.Runstats.l1d_miss,
@@ -1208,8 +1209,8 @@ let ablation_prefetch ?(options = Pipeline.default_options) ?specs () =
       let run prefetch =
         let opts = { options with Pipeline.next_line_prefetch = prefetch } in
         Runstats.of_points ~label:"regional"
-          (Pipeline.replay_points opts profile.Pipeline.sweep_whole
-             sel.Sp_simpoint.Simpoints.points)
+          (Pipeline.replay_points opts ~warmup_insns:0
+             profile.Pipeline.sweep_whole sel.Sp_simpoint.Simpoints.points)
       in
       let whole = profile.Pipeline.sweep_whole_stats in
       let off = run false and on = run true in
@@ -1262,33 +1263,26 @@ let cpistack results =
     results;
   t
 
-(* a warm scan over an arbitrary timing model (used by [models]) *)
-let warm_cpis_with options ~fresh ~hooks ~set_warming ~reset_state ~cpi whole
-    points =
-  let model = fresh () in
-  let model_hooks = hooks model in
-  let acc = ref [] in
-  let warmup =
-    {
-      Sp_pinball.Logger.length = options.Pipeline.warmup_insns;
-      hooks = model_hooks;
-      on_start =
-        (fun () ->
-          reset_state model;
-          set_warming model true);
-    }
-  in
-  Sp_pinball.Logger.scan_regions ~warmup whole points (fun pb ->
-      set_warming model false;
-      let r = Sp_pinball.Replayer.replay ~tools:[ model_hooks ] pb in
-      let weight =
-        match pb.Sp_pinball.Pinball.kind with
-        | Sp_pinball.Pinball.Region x -> x.weight
-        | Sp_pinball.Pinball.Whole -> 1.0
-      in
-      ignore r;
-      acc := (weight, cpi model) :: !acc);
-  List.rev !acc
+(* warmed per-point CPIs under an arbitrary timing model (used by
+   [models]): each point is a warm-prefixed regional pinball replayed
+   under a freshly created model, warming through the prefix *)
+let warm_cpis_with options ~fresh ~hooks ~set_warming ~cpi whole points =
+  Sp_pinball.Logger.capture_warm_regions
+    ~warmup_insns:options.Pipeline.warmup_insns whole
+    (Sp_simpoint.Simpoints.by_start points)
+  |> Sp_util.Pool.parallel_map ~jobs:options.Pipeline.jobs
+       (fun (wr : Sp_pinball.Logger.warm_region) ->
+         let model = fresh () in
+         let model_hooks = [ hooks model ] in
+         set_warming model true;
+         ignore
+           (Sp_pinball.Replayer.replay_prefixed ~prefix_tools:model_hooks
+              ~tools:model_hooks ~prefix:wr.Sp_pinball.Logger.warm_prefix
+              ~on_region:(fun () -> set_warming model false)
+              wr.Sp_pinball.Logger.warm_pinball);
+         ( Sp_pinball.Pinball.weight wr.Sp_pinball.Logger.warm_pinball,
+           cpi model ))
+  |> Array.to_list
 
 let models ?(options = Pipeline.default_options) ?specs () =
   let specs =
@@ -1339,7 +1333,6 @@ let models ?(options = Pipeline.default_options) ?specs () =
             Sp_cpu.Interval_core.create ~config:options.core_config prog)
           ~hooks:Sp_cpu.Interval_core.hooks
           ~set_warming:Sp_cpu.Interval_core.set_warming
-          ~reset_state:Sp_cpu.Interval_core.reset_state
           ~cpi:Sp_cpu.Interval_core.cpi profile.Pipeline.sweep_whole points
       in
       (* in-order *)
@@ -1354,7 +1347,6 @@ let models ?(options = Pipeline.default_options) ?specs () =
             Sp_cpu.Inorder_core.create ~config:options.core_config prog)
           ~hooks:Sp_cpu.Inorder_core.hooks
           ~set_warming:Sp_cpu.Inorder_core.set_warming
-          ~reset_state:Sp_cpu.Inorder_core.reset_state
           ~cpi:Sp_cpu.Inorder_core.cpi profile.Pipeline.sweep_whole points
       in
       let weighted pts =
@@ -1760,7 +1752,8 @@ let vli ?(options = Pipeline.default_options) ?specs () =
       let mix_err_of points =
         let stats =
           Runstats.of_points ~label:"r"
-            (Pipeline.replay_points options profile.Pipeline.sweep_whole points)
+            (Pipeline.replay_points options ~warmup_insns:0
+               profile.Pipeline.sweep_whole points)
         in
         Runstats.mix_error_pp ~reference:whole stats
       in
@@ -1852,14 +1845,16 @@ let samplers ?(options = Pipeline.default_options) ?specs () =
             let pts = sel.Sp_simpoint.Sampler.points in
             let cold =
               Runstats.of_points ~label:"cold"
-                (Pipeline.replay_points options prof.Pipeline.sweep_whole pts)
-            in
-            let warm =
-              Runstats.of_points ~label:"warm"
-                (Pipeline.warm_replay_points options
-                   ~warmup_insns:options.Pipeline.warmup_insns
+                (Pipeline.replay_points options ~warmup_insns:0
                    prof.Pipeline.sweep_whole pts)
             in
+            let warm_pts =
+              Pipeline.replay_points options
+                ~warmup_insns:options.Pipeline.warmup_insns
+                prof.Pipeline.sweep_whole pts
+            in
+            Pipeline.count_warm_points warm_pts;
+            let warm = Runstats.of_points ~label:"warm" warm_pts in
             (prof, pts, cold, warm))
           profiles
       in

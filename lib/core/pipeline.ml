@@ -175,80 +175,19 @@ let stage ~bench ~timings name f =
           timings := { stage = name; seconds = dt } :: !timings)
         f)
 
-(* Replay one regional pinball under fresh (cold) pintools and collect
-   its statistics — the paper's Regional-Run methodology, where every
-   pinball is an independent job. *)
-let replay_point options (pb : Pinball.t) =
-  let prog = pb.Pinball.program in
-  let mixt = Ldstmix.create () in
-  let cache =
-    Allcache_tool.create ~config:options.cache_config
-      ~prefetch:options.next_line_prefetch prog
-  in
-  let core = Sp_cpu.Interval_core.create ~config:options.core_config prog in
-  let result =
-    Replayer.replay
-      ~tools:
-        [
-          Ldstmix.hooks mixt;
-          Allcache_tool.hooks cache;
-          Sp_cpu.Interval_core.hooks core;
-        ]
-      pb
-  in
-  let cluster, weight =
-    match pb.Pinball.kind with
-    | Pinball.Region r -> (r.cluster, r.weight)
-    | Pinball.Whole -> (-1, 1.0)
-  in
-  let cache_stats = Allcache_tool.stats cache in
-  Sp_cache.Hierarchy.observe_stats cache_stats;
-  {
-    Runstats.cluster;
-    weight;
-    insns = result.Replayer.retired;
-    mix = Ldstmix.mix mixt;
-    cache = cache_stats;
-    cpi = Sp_cpu.Interval_core.cpi core;
-  }
-
-let replay_points options (whole : Logger.whole) points =
-  if options.jobs <= 1 then begin
-    let acc = ref [] in
-    Logger.scan_regions whole points (fun pb ->
-        acc := replay_point options pb :: !acc);
-    List.rev !acc
-  end
-  else begin
-    (* Each cold replay builds fresh tool state and touches nothing
-       shared, so once the regions are captured (one sequential
-       uninstrumented fast-forward over the whole pinball) they fan out
-       across the domain pool.  Points are pre-sorted by start so both
-       the capture scan and the result list match the sequential path's
-       order exactly. *)
-    let sorted = Array.copy points in
-    Array.sort
-      (fun (a : Sp_simpoint.Simpoints.point) b ->
-        compare a.start_icount b.start_icount)
-      sorted;
-    let regions = Logger.capture_regions whole sorted in
-    Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_point options) regions
-    |> Array.to_list
-  end
-
-(* Replay one warm-prefixed regional pinball under fresh per-point
-   tools: the prefix runs with the cache and timing tools warming
-   (state trains, statistics stay zero), the flag flips at the
-   prefix/region boundary, and the region runs measured with a fresh
-   per-point ldst-mix attached.  Fresh tools are exactly equivalent to
-   the shared scan's [reset_state] at each window start — construction
-   and reset produce identical state under the pipeline's replacement
-   policies (LRU/FIFO; [Random] keeps a replacement RNG that a reset
-   does not re-seed) — so per-point statistics are bit-identical to
-   the {!warm_replay_points_scan} reference, while every point becomes
-   an independent job for the domain pool. *)
-let replay_warm_point options (wr : Logger.warm_region) =
-  Sp_obs.Tracer.with_span ~cat:"warm" "warm-point" @@ fun () ->
+(* Replay one regional pinball under fresh per-point tools — the
+   paper's Regional-Run methodology, where every pinball is an
+   independent job.  The warm prefix (empty for a cold Regional Run)
+   runs with the cache and timing tools warming: state trains,
+   statistics stay zero.  The flag flips at the prefix/region boundary
+   and the region runs measured, with a fresh ldst-mix attached.  Fresh
+   tools are exactly equivalent to a shared scan's [reset_state] at
+   each window start — construction and reset produce identical state
+   under the pipeline's replacement policies (LRU/FIFO; [Random] keeps
+   a replacement RNG that a reset does not re-seed) — so per-point
+   statistics match a sequential scan bit for bit. *)
+let replay_region options (wr : Logger.warm_region) =
+  Sp_obs.Tracer.with_span ~cat:"replay" "region-replay" @@ fun () ->
   let pb = wr.Logger.warm_pinball in
   let prog = pb.Pinball.program in
   let mixt = Ldstmix.create () in
@@ -278,7 +217,6 @@ let replay_warm_point options (wr : Logger.warm_region) =
   in
   let cache_stats = Allcache_tool.stats cache in
   Sp_cache.Hierarchy.observe_stats cache_stats;
-  Sp_obs.Metrics.incr M.warm_points;
   {
     Runstats.cluster;
     weight;
@@ -288,83 +226,26 @@ let replay_warm_point options (wr : Logger.warm_region) =
     cpi = Sp_cpu.Interval_core.cpi core;
   }
 
-let warm_replay_points options ~warmup_insns (whole : Logger.whole) points =
-  (* pre-sort by start so the capture scan and the result list match
-     the sequential shared-scan reference's order exactly *)
-  let sorted = Array.copy points in
-  Array.sort
-    (fun (a : Sp_simpoint.Simpoints.point) b ->
-      compare a.start_icount b.start_icount)
-    sorted;
+let replay_points options ~warmup_insns (whole : Logger.whole) points =
   let regions =
-    Sp_obs.Tracer.with_span ~cat:"warm" "warm-capture" (fun () ->
-        Logger.capture_warm_regions ~warmup_insns whole sorted)
+    Sp_obs.Tracer.with_span ~cat:"replay" "region-capture" (fun () ->
+        Logger.capture_warm_regions ~warmup_insns whole
+          (Sp_simpoint.Simpoints.by_start points))
   in
-  Sp_util.Pool.parallel_map ~jobs:options.jobs (replay_warm_point options)
-    regions
+  (* each worker takes its region out of [pending] before replaying it,
+     so a replayed region's snapshot is garbage at once instead of
+     staying pinned until the stage's last replay finishes *)
+  let pending = Array.map (fun r -> ref (Some r)) regions in
+  Sp_util.Pool.parallel_map ~jobs:options.jobs
+    (fun cell ->
+      let r = Option.get !cell in
+      cell := None;
+      replay_region options r)
+    pending
   |> Array.to_list
 
-(* The pre-parallel implementation — one shared forward scan with
-   shared warm tools, reset at each window start — kept verbatim as
-   the differential reference the equivalence suite replays against
-   (metric observation moved inside the loop so per-point cache
-   metrics match the parallel path's).  Not used by the pipeline. *)
-let warm_replay_points_scan options ~warmup_insns (whole : Logger.whole)
-    points =
-  let prog = whole.Logger.pinball.Pinball.program in
-  let warm_cache =
-    Allcache_tool.create ~config:options.cache_config
-      ~prefetch:options.next_line_prefetch prog
-  in
-  let warm_core =
-    Sp_cpu.Interval_core.create ~config:options.core_config prog
-  in
-  let warm_hooks =
-    [ Allcache_tool.hooks warm_cache; Sp_cpu.Interval_core.hooks warm_core ]
-  in
-  let acc = ref [] in
-  let warmup =
-    {
-      Logger.length = warmup_insns;
-      hooks = Sp_vm.Hooks.seq_all warm_hooks;
-      on_start =
-        (fun () ->
-          Allcache_tool.reset_state warm_cache;
-          Sp_cpu.Interval_core.reset_state warm_core;
-          Allcache_tool.set_warming warm_cache true;
-          Sp_cpu.Interval_core.set_warming warm_core true);
-    }
-  in
-  Logger.scan_regions ~warmup whole points (fun pb ->
-      Allcache_tool.set_warming warm_cache false;
-      Sp_cpu.Interval_core.set_warming warm_core false;
-      (* a zero-length window skips on_start: reset here instead *)
-      if warmup_insns = 0 then begin
-        Allcache_tool.reset_state warm_cache;
-        Sp_cpu.Interval_core.reset_state warm_core
-      end;
-      let mixt = Ldstmix.create () in
-      let result =
-        Replayer.replay ~tools:(Ldstmix.hooks mixt :: warm_hooks) pb
-      in
-      let cluster, weight =
-        match pb.Pinball.kind with
-        | Pinball.Region r -> (r.cluster, r.weight)
-        | Pinball.Whole -> (-1, 1.0)
-      in
-      let cache_stats = Allcache_tool.stats warm_cache in
-      Sp_cache.Hierarchy.observe_stats cache_stats;
-      acc :=
-        {
-          Runstats.cluster;
-          weight;
-          insns = result.Replayer.retired;
-          mix = Ldstmix.mix mixt;
-          cache = cache_stats;
-          cpi = Sp_cpu.Interval_core.cpi warm_core;
-        }
-        :: !acc);
-  List.rev !acc
+let count_warm_points points =
+  Sp_obs.Metrics.add M.warm_points (List.length points)
 
 (* The pinball-cache skeleton: produce the whole pinball by logging
    ([log]), unless a cache directory is configured and holds a valid
@@ -604,13 +485,18 @@ let run_benchmark ?(options = default_options) spec =
   (* cold regional replays (Regional / Reduced Regional) *)
   let cold =
     stage ~bench ~timings "cold-replay" (fun () ->
-        replay_points options whole sel.Sp_simpoint.Sampler.points)
+        replay_points options ~warmup_insns:0 whole
+          sel.Sp_simpoint.Sampler.points)
   in
   (* warmed regional replays: Section IV-D's mitigation *)
   let warm =
     stage ~bench ~timings "warm-replay" (fun () ->
-        warm_replay_points options ~warmup_insns:options.warmup_insns whole
-          sel.Sp_simpoint.Sampler.points)
+        let pts =
+          replay_points options ~warmup_insns:options.warmup_insns whole
+            sel.Sp_simpoint.Sampler.points
+        in
+        count_warm_points pts;
+        pts)
   in
   let wall = Unix.gettimeofday () -. t0 in
   progressf options "[%s] done in %.1fs\n" bench wall;

@@ -30,7 +30,7 @@ type options = {
   progress : bool;          (** progress lines on stderr *)
   jobs : int;
       (** domain-pool width for the parallel stages (suite fan-out,
-          cold regional replays, k-means, variance sweep).  1 (the
+          regional replays, k-means, variance sweep).  1 (the
           default) runs fully sequentially; any value produces
           bit-for-bit identical results, only wall-clock changes. *)
   pinball_cache : string option;
@@ -185,26 +185,19 @@ val profile_for_sweep :
     BBV granularity (Figure 3(b) collects 5-Minsn micro-slices). *)
 
 val replay_points :
-  options -> Sp_pinball.Logger.whole -> Sp_simpoint.Simpoints.point array ->
-  Runstats.point_stats list
-(** Cold Regional replays of the given points (fresh tools each). *)
-
-val warm_replay_points :
   options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
   Sp_simpoint.Simpoints.point array -> Runstats.point_stats list
-(** Warmup Regional replays with the given warmup window.  Each point
-    is carved as a self-contained warm-prefixed regional pinball
-    ({!Sp_pinball.Logger.capture_warm_regions}) and replayed with fresh
-    per-point tool state ({!Sp_pinball.Replayer.replay_prefixed}), so
-    the replays fan out across the domain pool ([options.jobs]);
-    results are bit-identical to {!warm_replay_points_scan} at every
-    job count. *)
+(** Regional replays of the given points, returned in [start_icount]
+    order.  Each point is carved as a self-contained warm-prefixed
+    regional pinball ({!Sp_pinball.Logger.capture_warm_regions}) and
+    replayed with fresh per-point tool state
+    ({!Sp_pinball.Replayer.replay_prefixed}), so the replays fan out
+    across the domain pool ([options.jobs]) with bit-identical results
+    at every job count.  [~warmup_insns:0] is the cold Regional Run (no
+    prefix); a positive window is the Warmup Regional Run. *)
 
-val warm_replay_points_scan :
-  options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
-  Sp_simpoint.Simpoints.point array -> Runstats.point_stats list
-(** The sequential shared-scan implementation warm replay used before
-    it was parallelised: one forward pass over the whole execution,
-    shared warm tools reset at each window start.  Kept as the
-    differential reference for the equivalence suite; the pipeline
-    itself always uses {!warm_replay_points}. *)
+val count_warm_points : Runstats.point_stats list -> unit
+(** Add the points to the stable [warm.points] counter.  Callers
+    running the Warmup Regional methodology through {!replay_points}
+    call it once per replay set; cold Regional replays are not
+    counted. *)

@@ -34,52 +34,6 @@ let log_whole ?(syscall = Interp.default_syscall) ?(extra_tools = [])
   in
   { pinball; total_insns = machine.Interp.icount }
 
-let capture_regions (w : whole) points =
-  let pb = w.pinball in
-  let order = Array.init (Array.length points) (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      compare points.(a).Sp_simpoint.Simpoints.start_icount
-        points.(b).Sp_simpoint.Simpoints.start_icount)
-    order;
-  let machine = Snapshot.restore pb.Pinball.snapshot in
-  let syscall = Replayer.recorded_syscall pb in
-  let out = Array.make (Array.length points) None in
-  Array.iter
-    (fun idx ->
-      let p = points.(idx) in
-      let start = p.Sp_simpoint.Simpoints.start_icount in
-      if start > w.total_insns then
-        invalid_arg "Logger.capture_regions: point beyond execution";
-      let gap = start - machine.Interp.icount in
-      if gap < 0 then
-        invalid_arg "Logger.capture_regions: overlapping points";
-      if gap > 0 then
-        ignore (Interp.run ~syscall ~fuel:gap pb.Pinball.program machine);
-      let snapshot = Snapshot.capture machine in
-      let region =
-        {
-          Pinball.benchmark = pb.Pinball.benchmark;
-          kind =
-            Pinball.Region
-              {
-                cluster = p.Sp_simpoint.Simpoints.cluster;
-                weight = p.Sp_simpoint.Simpoints.weight;
-              };
-          program = pb.Pinball.program;
-          snapshot;
-          length = Some p.Sp_simpoint.Simpoints.length;
-          syscalls =
-            Pinball.syscalls_in_range pb ~start
-              ~len:p.Sp_simpoint.Simpoints.length;
-        }
-      in
-      out.(idx) <- Some region)
-    order;
-  Array.map
-    (function Some r -> r | None -> assert false)
-    out
-
 type warm_region = { warm_prefix : int; warm_pinball : Pinball.t }
 
 let capture_warm_regions ~warmup_insns (w : whole) points =
@@ -96,9 +50,9 @@ let capture_warm_regions ~warmup_insns (w : whole) points =
   let syscall = Replayer.recorded_syscall pb in
   let out = Array.make (Array.length points) None in
   (* end of the previous region: the warmup prefix is clamped against
-     it, exactly as [scan_regions ~warmup] clamps its warm window to the
-     gap left after advancing over the previous region (0 initially, so
-     a prefix that would fall before program start clamps to it) *)
+     it, so no prefix re-warms instructions a previous point measured
+     (0 initially, so a prefix that would fall before program start
+     clamps to it) *)
   let prev_end = ref 0 in
   Array.iter
     (fun idx ->
@@ -137,61 +91,3 @@ let capture_warm_regions ~warmup_insns (w : whole) points =
       prev_end := start + p.Sp_simpoint.Simpoints.length)
     order;
   Array.map (function Some r -> r | None -> assert false) out
-
-type warmup = {
-  length : int;
-  hooks : Hooks.t;
-  on_start : unit -> unit;
-}
-
-let scan_regions ?warmup (w : whole) points f =
-  let pb = w.pinball in
-  let sorted = Array.copy points in
-  Array.sort
-    (fun a b ->
-      compare a.Sp_simpoint.Simpoints.start_icount
-        b.Sp_simpoint.Simpoints.start_icount)
-    sorted;
-  let machine = Snapshot.restore pb.Pinball.snapshot in
-  let syscall = Replayer.recorded_syscall pb in
-  let last = Array.length sorted - 1 in
-  Array.iteri
-    (fun i (p : Sp_simpoint.Simpoints.point) ->
-      let start = p.start_icount in
-      if start > w.total_insns then
-        invalid_arg "Logger.scan_regions: point beyond execution";
-      let gap = start - machine.Interp.icount in
-      if gap < 0 then invalid_arg "Logger.scan_regions: overlapping points";
-      (match warmup with
-      | Some wu when wu.length > 0 ->
-          let wlen = min wu.length gap in
-          let ff = gap - wlen in
-          if ff > 0 then
-            ignore (Interp.run ~syscall ~fuel:ff pb.Pinball.program machine);
-          wu.on_start ();
-          if wlen > 0 then
-            ignore
-              (Interp.run ~hooks:wu.hooks ~syscall ~fuel:wlen
-                 pb.Pinball.program machine)
-      | Some _ | None ->
-          if gap > 0 then
-            ignore (Interp.run ~syscall ~fuel:gap pb.Pinball.program machine));
-      let region =
-        {
-          Pinball.benchmark = pb.Pinball.benchmark;
-          kind = Pinball.Region { cluster = p.cluster; weight = p.weight };
-          program = pb.Pinball.program;
-          snapshot = Snapshot.capture machine;
-          length = Some p.length;
-          syscalls = Pinball.syscalls_in_range pb ~start ~len:p.length;
-        }
-      in
-      f region;
-      (* advance the forward pass over the region itself, positioning
-         for the next point; after the final region the advance would
-         be pure waste — and skipping it keeps the instructions this
-         scan retires identical to what [capture_regions] retires, so
-         execution metrics match across the two replay strategies *)
-      if i < last then
-        ignore (Interp.run ~syscall ~fuel:p.length pb.Pinball.program machine))
-    sorted

@@ -17,14 +17,6 @@ val log_whole :
     during the same pass — logging is the slowest step of the paper's
     pipeline, so piggybacking avoids a second whole-program run. *)
 
-val capture_regions :
-  whole -> Sp_simpoint.Simpoints.point array -> Pinball.t array
-(** Replay the whole pinball once, snapshotting the machine at the start
-    of each simulation point; returns one Regional Pinball per point, in
-    the order given.  Points must lie within the execution and be
-    non-overlapping (simulation points always are: they are distinct
-    slices). *)
-
 type warm_region = {
   warm_prefix : int;
       (** warmup instructions at the front of [warm_pinball]: the
@@ -42,37 +34,14 @@ val capture_warm_regions :
   whole ->
   Sp_simpoint.Simpoints.point array ->
   warm_region array
-(** Like {!capture_regions}, but each region is extended backwards by up
-    to [warmup_insns] instructions, making every warm point a
-    self-contained pinball replayable with fresh per-point tool state
-    ({!Replayer.replay_prefixed}).  The prefix is clamped exactly as the
-    {!scan_regions} warm window is: to the gap since the previous
-    point's end, and to program start — so prefix lengths (and therefore
-    warm statistics) match the shared-scan reference bit for bit.
-    Returns regions in the order given.
+(** Replay the whole pinball once, snapshotting the machine [warm_prefix]
+    instructions before the start of each simulation point; returns one
+    self-contained [(warmup, region)] pinball per point, in the order
+    given, replayable with fresh per-point tool state
+    ({!Replayer.replay_prefixed}).  The prefix is up to [warmup_insns]
+    long, clamped to the gap since the previous point's end and to
+    program start.  With [warmup_insns = 0] every prefix is empty and
+    each pinball is exactly the point's Regional Pinball — the cold
+    Regional Run is this capture with a zero-length prefix.
     @raise Invalid_argument if [warmup_insns] is negative, a point lies
     beyond the execution, or points overlap. *)
-
-type warmup = {
-  length : int;             (** instructions to warm before each point *)
-  hooks : Hooks.t;          (** attached during the warmup window *)
-  on_start : unit -> unit;  (** fired before each point's window (e.g.
-                                to cold-reset the caches being warmed) *)
-}
-
-val scan_regions :
-  ?warmup:warmup ->
-  whole ->
-  Sp_simpoint.Simpoints.point array ->
-  (Pinball.t -> unit) ->
-  unit
-(** Streaming variant of {!capture_regions}: one forward replay of the
-    whole pinball; at each simulation point the Regional Pinball is
-    materialised, handed to the callback and then dropped, so at most one
-    region snapshot is live at a time (regions can be tens of MB).
-
-    [warmup] reproduces the paper's Warmup Regional Run: the [length]
-    instructions *preceding* each point are executed with [hooks]
-    attached (clamped to the gap since the previous point), so a cache
-    tool can warm its state exactly as Sniper's 500M-cycle warmup does
-    before measurement starts. *)

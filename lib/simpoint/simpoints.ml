@@ -206,6 +206,11 @@ let select ?(config = default_config) ?projected ~slice_len slices =
 
 let total_weight points = Array.fold_left (fun acc p -> acc +. p.weight) 0.0 points
 
+let by_start points =
+  let sorted = Array.copy points in
+  Array.sort (fun a b -> compare a.start_icount b.start_icount) sorted;
+  sorted
+
 let reduce t ~coverage =
   let sorted = Array.copy t.points in
   Array.sort (fun a b -> compare b.weight a.weight) sorted;

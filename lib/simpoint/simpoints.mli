@@ -68,4 +68,8 @@ val reduce : t -> coverage:float -> point array
 
 val total_weight : point array -> float
 
+val by_start : point array -> point array
+(** A copy of the points sorted by [start_icount]: execution order, the
+    order regional replays report their points in. *)
+
 val pp_point : Format.formatter -> point -> unit

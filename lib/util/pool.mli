@@ -1,6 +1,6 @@
 (** A fixed-size domain pool for embarrassingly parallel batches.
 
-    The pipeline's hot loops (suite fan-out, cold regional replays,
+    The pipeline's hot loops (suite fan-out, regional replays,
     k-means assignment) are all independent-job batches; this module
     runs them across OCaml 5 domains while keeping results in input
     order, so [jobs = 1] and [jobs = N] are observationally identical.

@@ -1441,10 +1441,11 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   done;
   (* [vm.blocks_stepped] counts only hooked runs, mirroring the other
      tiers: nil-hook runs historically go through [run_plain] (which
-     never counts) and their fuel splits legitimately differ between
-     replay strategies (sequential scan vs capture-then-fan-out), so
-     counting them would break the metric's jobs-invariance.  Hooked
-     runs count exactly what [run_block] would for the same fuel. *)
+     never counts), and their fuel splits are an artefact of how a
+     caller fast-forwards to its snapshot points rather than of the
+     instrumented work, so counting them would tie the metric to that
+     plumbing.  Hooked runs count exactly what [run_block] would for
+     the same fuel. *)
   if e.c_hooked then Sp_obs.Metrics.add M.blocks !blocks;
   !status
 [@@inline never]

@@ -48,7 +48,7 @@ let test_pinball_describe_region () =
       };
     |]
   in
-  let regions = Sp_pinball.Logger.capture_regions whole points in
+  let regions = Scan_reference.cold_regions whole points in
   let s = Sp_pinball.Pinball.describe regions.(0) in
   Alcotest.(check bool) "has cluster and weight" true
     (Astring_contains.contains s "region3" && Astring_contains.contains s "0.25")

@@ -206,6 +206,56 @@ let test_models_smoke () =
   Alcotest.(check bool) "row present" true
     (Astring_contains.contains s "620.omnetpp_s")
 
+(* at warmup 0 every point is a cold region: its CPI must be that of
+   the region replayed alone under a freshly created model, with no
+   model state or statistics carried over from the previous point *)
+let test_models_warmup0_fresh_model () =
+  let options = { tiny_options with warmup_insns = 0 } in
+  let spec = Sp_workloads.Suite.find "505.mcf_r" in
+  let row =
+    Specrepro.Experiments.models ~options ~specs:[ spec ] ()
+    |> Sp_util.Table.rows |> List.hd
+  in
+  let profile = Specrepro.Pipeline.profile_for_sweep ~options spec in
+  let prog =
+    profile.Specrepro.Pipeline.sweep_built.Sp_workloads.Benchspec.program
+  in
+  let sel =
+    Sp_simpoint.Simpoints.select ~config:options.simpoint_config
+      ~slice_len:options.slice_insns profile.Specrepro.Pipeline.sweep_slices
+  in
+  Alcotest.(check bool) "several points" true
+    (Array.length sel.Sp_simpoint.Simpoints.points > 1);
+  let cpis = ref [] in
+  Scan_reference.scan_regions profile.Specrepro.Pipeline.sweep_whole
+    sel.Sp_simpoint.Simpoints.points (fun pb ->
+      let ooo = Sp_cpu.Interval_core.create ~config:options.core_config prog in
+      let ino = Sp_cpu.Inorder_core.create ~config:options.core_config prog in
+      ignore
+        (Sp_pinball.Replayer.replay
+           ~tools:[ Sp_cpu.Interval_core.hooks ooo ] pb);
+      ignore
+        (Sp_pinball.Replayer.replay
+           ~tools:[ Sp_cpu.Inorder_core.hooks ino ] pb);
+      cpis :=
+        ( Sp_pinball.Pinball.weight pb,
+          Sp_cpu.Interval_core.cpi ooo,
+          Sp_cpu.Inorder_core.cpi ino )
+        :: !cpis);
+  let cpis = List.rev !cpis in
+  let weighted cpi =
+    let wsum = Sp_util.Stats.fsum (fun (w, _, _) -> w) cpis in
+    Sp_util.Stats.fsum (fun ((w, _, _) as p) -> w *. cpi p) cpis
+    /. Float.max 1e-9 wsum
+    |> Sp_util.Table.fmt_f ~dec:3
+  in
+  Alcotest.(check string) "OoO SimPoint CPI"
+    (weighted (fun (_, c, _) -> c))
+    (List.nth row 2);
+  Alcotest.(check string) "InO SimPoint CPI"
+    (weighted (fun (_, _, c) -> c))
+    (List.nth row 5)
+
 let test_rate_smoke () =
   let t =
     Specrepro.Experiments.rate ~options:tiny_options
@@ -262,6 +312,8 @@ let suite =
     Alcotest.test_case "chart bar" `Quick test_chart_bar;
     Alcotest.test_case "chart series" `Quick test_chart_series;
     Alcotest.test_case "models smoke" `Quick test_models_smoke;
+    Alcotest.test_case "models warmup 0 fresh model per point" `Quick
+      test_models_warmup0_fresh_model;
     Alcotest.test_case "rate smoke" `Quick test_rate_smoke;
     Alcotest.test_case "sampling smoke" `Quick test_sampling_smoke;
     Alcotest.test_case "statcache smoke" `Quick test_statcache_smoke;

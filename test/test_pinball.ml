@@ -60,7 +60,7 @@ let test_regional_capture_matches_ground_truth () =
   let whole = Logger.log_whole ~syscall:(noisy_syscall 7) ~benchmark:"t" prog in
   let start = 150 and len = 120 in
   let points = [| mk_point 0 0 start len 1.0 |] in
-  let regions = Logger.capture_regions whole points in
+  let regions = Scan_reference.cold_regions whole points in
   Alcotest.(check int) "one region" 1 (Array.length regions);
   let mixt = Sp_pin.Ldstmix.create () in
   let r = Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mixt ] regions.(0) in
@@ -84,7 +84,7 @@ let test_region_syscall_injection () =
   let whole = Logger.log_whole ~syscall:(noisy_syscall 11) ~benchmark:"t" prog in
   (* a region that contains syscalls: replaying twice is deterministic *)
   let points = [| mk_point 0 0 60 90 1.0 |] in
-  let regions = Logger.capture_regions whole points in
+  let regions = Scan_reference.cold_regions whole points in
   let run () =
     let r = Replayer.replay regions.(0) in
     r.Replayer.machine.Interp.regs.(4)
@@ -108,9 +108,10 @@ let test_scan_matches_capture () =
   let points =
     [| mk_point 1 0 100 50 0.5; mk_point 0 0 300 50 0.5 |]
   in
-  let captured = Logger.capture_regions whole points in
+  let captured = Scan_reference.cold_regions whole points in
   let scanned = ref [] in
-  Logger.scan_regions whole points (fun pb -> scanned := pb :: !scanned);
+  Scan_reference.scan_regions whole points (fun pb ->
+      scanned := pb :: !scanned);
   let scanned = List.rev !scanned in
   Alcotest.(check int) "same count" 2 (List.length scanned);
   List.iteri
@@ -129,12 +130,12 @@ let test_scan_warmup_hooks () =
   let started = ref 0 in
   let warmup =
     {
-      Logger.length = 250;
+      Scan_reference.length = 250;
       hooks = { Hooks.nil with on_instr = (fun _ _ -> incr warm_count) };
       on_start = (fun () -> incr started);
     }
   in
-  Logger.scan_regions ~warmup whole points (fun _ -> ());
+  Scan_reference.scan_regions ~warmup whole points (fun _ -> ());
   Alcotest.(check int) "on_start once" 1 !started;
   Alcotest.(check int) "warm window length" 250 !warm_count
 
@@ -145,12 +146,12 @@ let test_scan_warmup_clamped () =
   let warm_count = ref 0 in
   let warmup =
     {
-      Logger.length = 10_000;
+      Scan_reference.length = 10_000;
       hooks = { Hooks.nil with on_instr = (fun _ _ -> incr warm_count) };
       on_start = ignore;
     }
   in
-  Logger.scan_regions ~warmup whole points (fun _ -> ());
+  Scan_reference.scan_regions ~warmup whole points (fun _ -> ());
   Alcotest.(check int) "clamped to gap" 100 !warm_count
 
 (* ------------------------------------------------------------------ *)
@@ -218,7 +219,7 @@ let test_store_region_roundtrip () =
   (* capture past the start so the snapshot carries touched memory pages
      and a non-zero icount *)
   let points = [| mk_point 3 0 150 120 0.75 |] in
-  let region = (Logger.capture_regions whole points).(0) in
+  let region = (Scan_reference.cold_regions whole points).(0) in
   let path = Store.save ~dir region in
   let loaded = load_ok path in
   check_pinball_equal "region" region loaded;
@@ -333,7 +334,7 @@ let test_store_fuzz_region () =
   let prog = sys_program ~iters:100 in
   let whole = Logger.log_whole ~syscall:(noisy_syscall 13) ~benchmark:"fz" prog in
   let region =
-    (Logger.capture_regions whole [| mk_point 0 0 150 100 1.0 |]).(0)
+    (Scan_reference.cold_regions whole [| mk_point 0 0 150 100 1.0 |]).(0)
   in
   let dir = fresh_dir () in
   let path = Store.save ~dir region in
@@ -368,7 +369,7 @@ let test_store_concurrent_save () =
   let prog = sys_program ~iters:100 in
   let whole = Logger.log_whole ~syscall:(noisy_syscall 1) ~benchmark:"cc" prog in
   let points = Array.init 8 (fun i -> mk_point i 0 (30 * i) 20 0.125) in
-  let regions = Logger.capture_regions whole points in
+  let regions = Scan_reference.cold_regions whole points in
   let paths =
     Sp_util.Pool.parallel_map ~jobs:4 (fun pb -> Store.save ~dir pb) regions
   in
@@ -472,7 +473,7 @@ let test_golden_bytes () =
     "20ad27af6e5f01e188e3619bbbd2cc54"
     (digest whole.Logger.pinball);
   let regions =
-    Logger.capture_regions whole [| mk_point 2 0 60 90 0.25 |]
+    Scan_reference.cold_regions whole [| mk_point 2 0 60 90 0.25 |]
   in
   Alcotest.(check string) "region pinball bytes"
     "900addee133ddfaf35f15181667099de"

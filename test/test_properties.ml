@@ -245,7 +245,7 @@ let prop_region_replay_fidelity =
           weight = 1.0;
         }
       in
-      let regions = Sp_pinball.Logger.capture_regions whole [| point |] in
+      let regions = Scan_reference.cold_regions whole [| point |] in
       let mix1 = Sp_pin.Ldstmix.create () in
       ignore
         (Sp_pinball.Replayer.replay ~tools:[ Sp_pin.Ldstmix.hooks mix1 ]

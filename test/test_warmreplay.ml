@@ -1,10 +1,11 @@
-(* Differential tests for the parallel warm-replay stage.
+(* Differential tests for the regional replay stage.
 
-   The pipeline replays warm points as self-contained warm-prefixed
-   regional pinballs with fresh per-point tool state
-   (Pipeline.warm_replay_points); the pre-parallel implementation — one
+   The pipeline replays every point, cold or warm, as a self-contained
+   warm-prefixed regional pinball with fresh per-point tool state
+   (Pipeline.replay_points; a cold Regional replay is a zero-length
+   prefix).  The sequential references live in Scan_reference: one
    shared forward scan with shared warm tools reset at each window
-   start — is kept as Pipeline.warm_replay_points_scan.  Random halting
+   start, and the cold scan with fresh tools per region.  Random halting
    programs (counted Asm loops with randomised load/store/ALU/syscall
    bodies) are run through both over warmup windows that exercise every
    clamping edge: zero, tiny, larger than the first region's start
@@ -114,30 +115,38 @@ let prop_parallel_matches_scan =
       let points =
         Array.of_list (points_of_spec whole.Logger.total_insns spec)
       in
-      List.for_all
-        (fun wu ->
-          let scan =
-            Pipeline.warm_replay_points_scan options ~warmup_insns:wu whole
-              points
-          in
-          let par1 =
-            Pipeline.warm_replay_points
-              { options with jobs = 1 }
-              ~warmup_insns:wu whole points
-          in
-          let par3 =
-            Pipeline.warm_replay_points
-              { options with jobs = 3 }
-              ~warmup_insns:wu whole points
-          in
-          (* structural compare: bit-equal floats (and NaN-safe) *)
-          Stdlib.compare scan par1 = 0 && Stdlib.compare par1 par3 = 0)
-        warmups)
+      let replay jobs wu =
+        Pipeline.replay_points { options with jobs } ~warmup_insns:wu whole
+          points
+      in
+      (* structural compare: bit-equal floats (and NaN-safe) *)
+      let all_equal = function
+        | [] -> true
+        | x :: rest -> List.for_all (fun y -> Stdlib.compare x y = 0) rest
+      in
+      (* the cold path: the fresh-tools cold scan is one more reference
+         for the zero-length prefix *)
+      all_equal
+        [
+          Scan_reference.cold_replay_points_scan options whole points;
+          replay 1 0;
+          replay 3 0;
+        ]
+      && List.for_all
+           (fun wu ->
+             all_equal
+               [
+                 Scan_reference.replay_points_scan options ~warmup_insns:wu
+                   whole points;
+                 replay 1 wu;
+                 replay 3 wu;
+               ])
+           warmups)
 
 (* ------------------------------------------------------------------ *)
 (* tool-level equivalence, including the TLB statistics that point
    stats do not surface: capture_warm_regions + replay_prefixed with
-   per-point fresh tools vs scan_regions with shared reset tools *)
+   per-point fresh tools vs the reference scan with shared reset tools *)
 
 let fixture_ops =
   [
@@ -172,7 +181,7 @@ let test_tool_level_equivalence () =
   let scan_stats = ref [] in
   let warmup =
     {
-      Logger.length = wu;
+      Scan_reference.length = wu;
       hooks = Sp_vm.Hooks.seq_all [ Allcache_tool.hooks shared ];
       on_start =
         (fun () ->
@@ -180,7 +189,7 @@ let test_tool_level_equivalence () =
           Allcache_tool.set_warming shared true);
     }
   in
-  Logger.scan_regions ~warmup whole points (fun pb ->
+  Scan_reference.scan_regions ~warmup whole points (fun pb ->
       Allcache_tool.set_warming shared false;
       ignore (Replayer.replay ~tools:[ Allcache_tool.hooks shared ] pb);
       scan_stats :=
@@ -238,10 +247,11 @@ let stable_fingerprint jobs =
   let whole = Logger.log_whole ~benchmark:"warm-metrics" prog in
   let points = fixture_points [ (120, 90); (300, 110) ] in
   Sp_obs.Metrics.reset ();
-  ignore
-    (Pipeline.warm_replay_points
-       { options with jobs }
-       ~warmup_insns:123 whole points);
+  let options = { options with jobs } in
+  (* cold replays go through the same path but are not warm points *)
+  ignore (Pipeline.replay_points options ~warmup_insns:0 whole points);
+  Pipeline.count_warm_points
+    (Pipeline.replay_points options ~warmup_insns:123 whole points);
   let snap = Sp_obs.Metrics.stable_snapshot () in
   Sp_obs.Metrics.reset ();
   List.filter_map
