@@ -964,14 +964,8 @@ let sampling ?(options = Pipeline.default_options) ?specs () =
         Sp_cpu.Slice_timer.create ~slice_len:options.Pipeline.slice_insns core
       in
       ignore
-        (Sp_pin.Pin.run_fresh
-           ~tools:
-             [
-               Sp_pin.Bbv_tool.hooks bbv;
-               Sp_cpu.Interval_core.hooks core;
-               Sp_cpu.Slice_timer.hooks timer;
-             ]
-           prog);
+        (Sp_cpu.Slice_timer.run ~tools:[ Sp_pin.Bbv_tool.hooks bbv ] timer prog
+           (Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry ()));
       Sp_pin.Bbv_tool.finish bbv;
       Sp_cpu.Slice_timer.finish timer;
       let cpis = Sp_cpu.Slice_timer.slice_cpis timer in
@@ -1608,9 +1602,8 @@ let timevary ?(options = Pipeline.default_options) ?specs () =
         Sp_cpu.Slice_timer.create ~slice_len:options.Pipeline.slice_insns core
       in
       ignore
-        (Sp_pin.Pin.run_fresh
-           ~tools:[ Sp_cpu.Interval_core.hooks core; Sp_cpu.Slice_timer.hooks timer ]
-           prog);
+        (Sp_cpu.Slice_timer.run timer prog
+           (Sp_vm.Interp.create ~entry:prog.Sp_vm.Program.entry ()));
       Sp_cpu.Slice_timer.finish timer;
       let cpis = Sp_cpu.Slice_timer.slice_cpis timer in
       Buffer.add_string buf

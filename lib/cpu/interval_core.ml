@@ -19,6 +19,7 @@ type t = {
   bp : Branch_predictor.t;
   code_base : int;
   blocks : Program.block array;
+  kinds : int array;  (* [Isa.kind_code] per pc *)
   dispatch_cost : float;
   kind_extra : float array;
   rob_window : int;  (* instructions the ROB can hold in flight *)
@@ -51,6 +52,7 @@ let create ?(config = Core_config.i7_3770) (prog : Program.t) =
     bp = Branch_predictor.create ();
     code_base = prog.code_base;
     blocks = prog.blocks;
+    kinds = prog.kinds;
     dispatch_cost = 1.0 /. float_of_int config.dispatch_width;
     kind_extra = Array.init Isa.num_kinds extra_of_kind;
     rob_window = config.rob_entries;
@@ -104,18 +106,33 @@ let on_access t ~is_write addr =
     t.mem_stall <- t.mem_stall +. exposure
   end
 
+(* One [on_block_mems] segment: each reference sees [instructions]
+   counting its own instruction, and base cycles are summed per pc in
+   order, exactly as per-instruction delivery would — every statistic,
+   floats included, is bit-identical under any segmentation. *)
+let process t pc0 n offs addrs nrefs =
+  let base = t.instructions in
+  for r = 0 to nrefs - 1 do
+    if not t.warming then
+      t.instructions <- base + Array.unsafe_get offs r + 1;
+    let v = Array.unsafe_get addrs r in
+    on_access t ~is_write:(v land 1 <> 0) (v asr 1)
+  done;
+  if not t.warming then begin
+    t.instructions <- base + n;
+    let cycles = ref t.base_cycles in
+    for pc = pc0 to pc0 + n - 1 do
+      cycles :=
+        !cycles +. t.dispatch_cost
+        +. Array.unsafe_get t.kind_extra (Array.unsafe_get t.kinds pc)
+    done;
+    t.base_cycles <- !cycles
+  end
+
 let hooks t =
   {
     Hooks.nil with
-    Hooks.on_instr =
-      (fun _pc kind ->
-        if not t.warming then begin
-          t.instructions <- t.instructions + 1;
-          t.base_cycles <-
-            t.base_cycles +. t.dispatch_cost
-            +. Array.unsafe_get t.kind_extra kind
-        end);
-    on_block =
+    Hooks.on_block =
       (fun bb ->
         (* fetch at block granularity; instruction lines are hot, so
            modelling per-block fetch keeps the i-side realistic at a
@@ -124,8 +141,8 @@ let hooks t =
         ignore
           (Hierarchy.fetch_where t.hier
              (t.code_base + (leader * Isa.bytes_per_instr))));
-    on_read = (fun addr -> on_access t ~is_write:false addr);
-    on_write = (fun addr -> on_access t ~is_write:true addr);
+    on_block_mems =
+      (fun pc0 n offs addrs nrefs -> process t pc0 n offs addrs nrefs);
     on_branch =
       (fun pc taken ->
         if t.warming then Branch_predictor.observe t.bp ~pc ~taken
@@ -161,22 +178,16 @@ let set_warming t b =
   t.warming <- b;
   Hierarchy.set_warming t.hier b
 
-let reset_stats t =
+let reset_state t =
   t.instructions <- 0;
   t.base_cycles <- 0.0;
   t.branch_stall <- 0.0;
   t.mem_stall <- 0.0;
   Array.fill t.level_hits 0 4 0;
   Hierarchy.reset_stats t.hier;
-  Branch_predictor.reset_stats t.bp
-
-let reset_state t =
-  reset_stats t;
   Hierarchy.reset_state t.hier;
   Branch_predictor.reset_state t.bp;
   t.last_miss_line <- min_int;
   t.last_miss_icount <- min_int
-
-let config t = t.cfg
 
 let seconds t = cycles t /. (t.cfg.freq_ghz *. 1e9)

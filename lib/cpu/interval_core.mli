@@ -11,7 +11,15 @@ open Sp_vm
     reorder buffer; consecutive independent misses within the ROB window
     overlap, while pointer-chasing (unpredictable next address) pays the
     full latency — approximated here by address-pattern detection, since
-    the hook stream carries no register dependences. *)
+    the hook stream carries no register dependences.
+
+    The hooks are block-level — per-block i-fetch ([on_block]), the
+    block's conditional branch ([on_branch]) and one [on_block_mems]
+    consumer whose reference offsets give each access's exact
+    instruction position — so an attached core runs on the fused
+    engine tier.  Statistics, floats included, are bit-identical to
+    charging every instruction through per-instruction callbacks, under
+    any segmentation (fuel splits, engine pins). *)
 
 type stats = {
   instructions : int;
@@ -47,10 +55,9 @@ val set_warming : t -> bool -> unit
 (** While warming, caches and the predictor train but neither cycles nor
     counters accumulate. *)
 
-val reset_stats : t -> unit
 val reset_state : t -> unit
-
-val config : t -> Core_config.t
+(** Back to a freshly created core: statistics, cache, predictor and
+    miss-overlap state. *)
 
 val seconds : t -> float
 (** Simulated wall-clock time at the configured frequency. *)

@@ -26,9 +26,9 @@ open Sp_cache
 
    Misses — and only misses — reach the shared L2/L3 in exactly the
    per-instruction order, so every statistic (including TLB walks,
-   prefetches and writebacks) is bit-identical to the per-instruction
-   tier.  [hooks_per_instr] keeps the pre-fusion callback set alive for
-   the differential suite that enforces this. *)
+   prefetches and writebacks) is bit-identical to a per-instruction
+   walk; the differential suite enforces this against an unfiltered
+   per-instruction reference model. *)
 
 type t = {
   hier : Hierarchy.t;
@@ -147,46 +147,14 @@ let hooks t =
       (fun pc0 n offs addrs nrefs -> process t pc0 n offs addrs nrefs);
   }
 
-(* The pre-fusion per-instruction callback set: one TLB access and one
-   hierarchy walk per event.  The differential suite replays identical
-   programs under both hook sets and requires identical statistics. *)
-let hooks_per_instr t =
-  let hier = t.hier in
-  let code_base = t.code_base in
-  let data t addr =
-    if t.warming then Tlb.warm t.dtlb addr else Tlb.access t.dtlb addr
-  in
-  {
-    Hooks.nil with
-    Hooks.on_instr =
-      (fun pc _kind ->
-        let addr = code_base + (pc * Sp_isa.Isa.bytes_per_instr) in
-        if t.warming then Tlb.warm t.itlb addr else Tlb.access t.itlb addr;
-        Hierarchy.fetch hier addr);
-    on_read =
-      (fun addr ->
-        data t addr;
-        Hierarchy.read hier addr);
-    on_write =
-      (fun addr ->
-        data t addr;
-        Hierarchy.write hier addr);
-  }
-
 let hierarchy t = t.hier
 let stats t = Hierarchy.stats t.hier
-let prefetches t = Hierarchy.prefetches t.hier
 let itlb_stats t = Tlb.stats t.itlb
 let dtlb_stats t = Tlb.stats t.dtlb
 
 let set_warming t b =
   t.warming <- b;
   Hierarchy.set_warming t.hier b
-
-let reset_stats t =
-  Hierarchy.reset_stats t.hier;
-  Tlb.reset_stats t.itlb;
-  Tlb.reset_stats t.dtlb
 
 let reset_state t =
   Hierarchy.reset_state t.hier;

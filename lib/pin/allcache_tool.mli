@@ -16,22 +16,14 @@ val create :
     [policy] selects the replacement policy for every level (default
     LRU); [prefetch] enables the hierarchy's next-line prefetcher. *)
 
-val prefetches : t -> int
-
 val hooks : t -> Hooks.t
-(** The fused hook set: a single {!Hooks.on_block_mems} consumer that
-    replays each delivered segment's i-fetch grid and data references
-    in one pass, with exact same-line/same-page repeat filters.  Under
-    a block-capable engine this runs on the fused block-stepping tier;
-    statistics are bit-identical to {!hooks_per_instr} (enforced by the
-    differential suite). *)
-
-val hooks_per_instr : t -> Hooks.t
-(** The pre-fusion per-instruction callback set ([on_instr]/[on_read]/
-    [on_write], one TLB access and one hierarchy walk per event).  Kept
-    as the reference implementation for differential testing; both hook
-    sets drive the same [t] and may be used interchangeably (not
-    simultaneously). *)
+(** The hook set: a single {!Hooks.on_block_mems} consumer that replays
+    each delivered segment's i-fetch grid and data references in one
+    pass, with exact same-line/same-page repeat filters.  Under a
+    block-capable engine this runs on the fused block-stepping tier;
+    statistics are bit-identical to walking the TLBs and the hierarchy
+    once per fetch and data reference (enforced by the differential
+    suite against a per-instruction reference model). *)
 
 val hierarchy : t -> Sp_cache.Hierarchy.t
 
@@ -45,8 +37,6 @@ val dtlb_stats : t -> Sp_cache.Tlb.stats
 
 val set_warming : t -> bool -> unit
 (** Forwarded to the hierarchy: accesses update state but not stats. *)
-
-val reset_stats : t -> unit
 
 val reset_state : t -> unit
 (** Clears cache/TLB contents and the fused tier's repeat-filter memos

@@ -21,5 +21,3 @@ val total : t -> int
 
 val mix : t -> Mix.t
 (** Current distribution as fractions. *)
-
-val reset : t -> unit

@@ -64,13 +64,12 @@ let is_nil h =
 let block_level h =
   h.on_instr == ignore2 && h.on_read == ignore1 && h.on_write == ignore1
 
-let has_block_span h = h.on_block_span != ignore2
-
 (* [on_block_mems] is an aggregate like [on_block_exec]: the fused
    engine delivers one segment per block entry, the per-instruction
    engines deliver one single-instruction segment per retirement.  A
    live callback here does not disqualify a set from block-stepping —
-   it selects the fused engine variant instead. *)
+   it selects the fused engine variant instead, which is how the cache
+   tool, the timing core and ldstmix all run block-level. *)
 let has_block_mems h = h.on_block_mems != ignore_mems
 
 let seq a b =

@@ -72,9 +72,6 @@ val block_level : t -> bool
     there keeps the set block-level (the interpreter picks its fused
     engine). *)
 
-val has_block_span : t -> bool
-(** True when the [on_block_span] aggregate is live. *)
-
 val has_block_mems : t -> bool
 (** True when the [on_block_mems] aggregate is live; decides
     between the plain block-stepping engine and the fused one (and, for

@@ -352,8 +352,9 @@ let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
    straight-line body's data references into per-run buffers, delivered
    to [on_block_mems] as one aggregate segment per block entry.  The
    cache tool then walks the block's i-fetch line/page grid and its
-   data stream in one pass instead of being called back per
-   instruction.
+   data stream in one pass, and the timing core and ldstmix charge the
+   segment's instructions and references, instead of being called back
+   per instruction.
 
    Segment invariants (the exactness contract with the tool):
    - segments partition the retirement stream: every retired

@@ -365,11 +365,7 @@ let test_slice_timer () =
   let core = Sp_cpu.Interval_core.create ~config:Sp_cpu.Core_config.i7_3770_sim prog in
   let timer = Sp_cpu.Slice_timer.create ~slice_len:1000 core in
   let m = Interp.create ~entry:prog.Program.entry () in
-  ignore
-    (Interp.run
-       ~hooks:
-         (Hooks.seq (Sp_cpu.Interval_core.hooks core) (Sp_cpu.Slice_timer.hooks timer))
-       prog m);
+  ignore (Sp_cpu.Slice_timer.run timer prog m);
   Sp_cpu.Slice_timer.finish timer;
   let cpis = Sp_cpu.Slice_timer.slice_cpis timer in
   Alcotest.(check int) "10 slices" 10 (Array.length cpis);

@@ -3,10 +3,11 @@
 
    The fused allcache hook set ([Allcache_tool.hooks]) consumes
    [on_block_mems] segments and applies same-line / same-page repeat
-   filters; the per-instruction set ([hooks_per_instr]) walks the
-   hierarchy once per event.  Random memory-heavy programs are executed
-   under both (and under the mixed engine, where a live per-instruction
-   callback forces single-instruction segments); every cache level's
+   filters; the per-instruction reference ([Core_reference.Allcache])
+   walks the hierarchy once per event.  Random memory-heavy programs are
+   executed under both (and under the mixed engine, where a live
+   per-instruction callback forces single-instruction segments); every
+   cache level's
    statistics, both TLBs, prefetch and write-back counters and the
    retired instruction count must be bit-identical — across
    replacement policies, with and without the next-line prefetcher,
@@ -26,7 +27,8 @@ open Sp_cache
 (* ------------------------------------------------------------------ *)
 (* Memory-heavy random programs: every terminator kind, plus a heavy
    dose of loads/stores/string-moves so the data-reference stream
-   exercises line and page boundaries *)
+   exercises line and page boundaries, and long-latency integer and FP
+   ops whose extra cycles the timing core charges *)
 
 let test_fuel = 400
 let test_syscall n = ((n * 37) + 11) land 0xFF
@@ -46,8 +48,14 @@ let mem_prog_gen =
           ( 2,
             map3
               (fun op rd (r1, r2) -> Isa.Alu (op, rd, r1, r2))
-              (oneofl [ Isa.Add; Isa.Sub; Isa.Xor ])
+              (oneofl [ Isa.Add; Isa.Sub; Isa.Xor; Isa.Mul; Isa.Div ])
               reg (pair reg reg) );
+          ( 1,
+            map3
+              (fun op fd (f1, f2) -> Isa.Falu (op, fd, f1, f2))
+              (oneofl [ Isa.Fadd; Isa.Fmul; Isa.Fdiv ])
+              (0 -- 7)
+              (pair (0 -- 7) (0 -- 7)) );
           ( 4,
             map3
               (fun rd rs off -> Isa.Load (rd, rs, off * 8))
@@ -100,49 +108,76 @@ type observed = {
 
 let warm_fuel = 60
 
-let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
-  let p = Program.of_instrs instrs in
-  let tool = Allcache_tool.create ~policy ~prefetch p in
-  let hooks =
-    match tier with
-    | Fused -> Allcache_tool.hooks tool
-    | Per_instr -> Allcache_tool.hooks_per_instr tool
-    | Mixed ->
-        (* a live on_instr keeps the set off the block tier, forcing
-           single-instruction segment delivery of on_block_mems *)
-        Hooks.seq (Allcache_tool.hooks tool)
-          { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
-  in
+let outcome_of = function Interp.Halted -> 1 | Interp.Out_of_fuel -> 0
+
+(* Run [p] on a fresh machine under [hooks]: an optional warming prefix
+   of [warm_fuel] instructions with [set_warming] raised around it, then
+   up to [test_fuel] measured instructions in [chunk]-sized runs, each
+   completed run's retired count passed to [on_chunk].  Returns the
+   retired count and the outcome. *)
+let drive ?engine ?(on_chunk = ignore) ~hooks ~set_warming ~warm ~chunk p =
   let m = Interp.create ~entry:0 () in
   let outcome = ref 0 in
-  (if warm then begin
-     Allcache_tool.set_warming tool true;
-     (try
-        match Interp.run ~hooks ~syscall:test_syscall ~fuel:warm_fuel p m with
-        | Interp.Halted -> outcome := 1
-        | Interp.Out_of_fuel -> ()
-      with Interp.Stack_error _ -> outcome := 2);
-     Allcache_tool.set_warming tool false
-   end);
+  let step fuel =
+    let before = m.Interp.icount in
+    match Interp.run ?engine ~hooks ~syscall:test_syscall ~fuel p m with
+    | st ->
+        outcome := outcome_of st;
+        m.Interp.icount - before
+    | exception Interp.Stack_error _ ->
+        outcome := 2;
+        0
+  in
+  if warm then begin
+    set_warming true;
+    ignore (step warm_fuel);
+    set_warming false
+  end;
   let left = ref test_fuel in
-  (try
-     while !left > 0 && !outcome = 0 do
-       let f = min chunk !left in
-       left := !left - f;
-       match Interp.run ~hooks ~syscall:test_syscall ~fuel:f p m with
-       | Interp.Halted -> outcome := 1
-       | Interp.Out_of_fuel -> ()
-     done
-   with Interp.Stack_error _ -> outcome := 2);
-  {
-    o_hier = Allcache_tool.stats tool;
-    o_itlb = Allcache_tool.itlb_stats tool;
-    o_dtlb = Allcache_tool.dtlb_stats tool;
-    o_prefetches = Allcache_tool.prefetches tool;
-    o_writebacks = Hierarchy.writebacks (Allcache_tool.hierarchy tool);
-    o_icount = m.Interp.icount;
-    o_outcome = !outcome;
-  }
+  while !left > 0 && !outcome = 0 do
+    let f = min chunk !left in
+    left := !left - f;
+    let len = step f in
+    if !outcome <> 2 then on_chunk len
+  done;
+  (m.Interp.icount, !outcome)
+
+(* a live on_instr keeps a set off the block tier, forcing
+   single-instruction segment delivery of on_block_mems *)
+let with_dummy_instr hooks =
+  Hooks.seq hooks { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
+
+let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
+  let p = Program.of_instrs instrs in
+  let observe ~hooks ~set_warming hier itlb dtlb =
+    let icount, outcome = drive ~hooks ~set_warming ~warm ~chunk p in
+    {
+      o_hier = Hierarchy.stats hier;
+      o_itlb = itlb ();
+      o_dtlb = dtlb ();
+      o_prefetches = Hierarchy.prefetches hier;
+      o_writebacks = Hierarchy.writebacks hier;
+      o_icount = icount;
+      o_outcome = outcome;
+    }
+  in
+  match tier with
+  | Per_instr ->
+      let r = Core_reference.Allcache.create ~policy ~prefetch p in
+      observe ~hooks:(Core_reference.Allcache.hooks r)
+        ~set_warming:(Core_reference.Allcache.set_warming r)
+        (Core_reference.Allcache.hierarchy r)
+        (fun () -> Core_reference.Allcache.itlb_stats r)
+        (fun () -> Core_reference.Allcache.dtlb_stats r)
+  | Fused | Mixed ->
+      let tool = Allcache_tool.create ~policy ~prefetch p in
+      let hooks = Allcache_tool.hooks tool in
+      observe
+        ~hooks:(if tier = Mixed then with_dummy_instr hooks else hooks)
+        ~set_warming:(Allcache_tool.set_warming tool)
+        (Allcache_tool.hierarchy tool)
+        (fun () -> Allcache_tool.itlb_stats tool)
+        (fun () -> Allcache_tool.dtlb_stats tool)
 
 let scenario_print (instrs, (policy, prefetch, warm), chunk) =
   Printf.sprintf "len=%d policy=%s prefetch=%b warm=%b chunk=%d"
@@ -249,6 +284,150 @@ let test_report_counters_identical () =
     (fun a b ->
       Alcotest.(check (option (float 0.0))) "cache counter" a b)
     (observe f) (observe i)
+
+(* ------------------------------------------------------------------ *)
+(* The timing core and the ld/st mix on the same programs: the
+   segment-consuming [Interval_core] and [Ldstmix] must reproduce the
+   per-instruction references exactly — float stats to the bit — on
+   the fused tier, pinned to the reference engine family, and on the
+   mixed engine (single-instruction segments), across fuel chunks and a
+   warming prefix *)
+
+type engine_setting = Auto_fused | Reference_pinned | Mixed_dummy
+
+let stats_bits (s : Sp_cpu.Interval_core.stats) =
+  let b = Int64.bits_of_float in
+  ( (s.instructions, s.branch_lookups, s.branch_mispredicts,
+     Array.to_list s.level_hits),
+    List.map b
+      [ s.cycles; s.base_cycles; s.branch_stall_cycles;
+        s.memory_stall_cycles ] )
+
+let mem_classes = [ Isa.No_mem; Isa.Mem_r; Isa.Mem_w; Isa.Mem_rw ]
+
+(* a ROB a few instructions deep puts the miss-overlap window's edge
+   inside every generated program, so an off-by-one in the instruction
+   position a reference sees changes the stall sum *)
+let core_config rob =
+  { Sp_cpu.Core_config.i7_3770_sim with rob_entries = rob }
+
+let run_core_reference ~rob ~warm ~chunk p =
+  let core = Core_reference.Core.create ~config:(core_config rob) p in
+  let mix = Core_reference.Ldstmix.create () in
+  let icount, outcome =
+    drive
+      ~hooks:
+        (Hooks.seq (Core_reference.Core.hooks core)
+           (Core_reference.Ldstmix.hooks mix))
+      ~set_warming:(Core_reference.Core.set_warming core) ~warm ~chunk p
+  in
+  ( stats_bits (Core_reference.Core.stats core),
+    List.map (Core_reference.Ldstmix.count mix) mem_classes,
+    icount,
+    outcome )
+
+let run_core setting ~rob ~warm ~chunk p =
+  let core = Sp_cpu.Interval_core.create ~config:(core_config rob) p in
+  let mix = Ldstmix.create () in
+  let hooks =
+    Hooks.seq (Sp_cpu.Interval_core.hooks core) (Ldstmix.hooks mix)
+  in
+  let engine, hooks =
+    match setting with
+    | Auto_fused -> (Interp.Auto, hooks)
+    | Reference_pinned -> (Interp.Reference, hooks)
+    | Mixed_dummy -> (Interp.Auto, with_dummy_instr hooks)
+  in
+  let icount, outcome =
+    drive ~engine ~hooks ~set_warming:(Sp_cpu.Interval_core.set_warming core)
+      ~warm ~chunk p
+  in
+  ( stats_bits (Sp_cpu.Interval_core.stats core),
+    List.map (Ldstmix.count mix) mem_classes,
+    icount,
+    outcome )
+
+let core_scenario_gen =
+  QCheck.Gen.(quad mem_prog_gen (int_range 1 12) bool (int_range 1 17))
+
+let core_scenario_print (instrs, rob, warm, chunk) =
+  Printf.sprintf "len=%d rob=%d warm=%b chunk=%d" (Array.length instrs) rob
+    warm chunk
+
+let prop_core_matches_reference =
+  QCheck.Test.make
+    ~name:"block-level core and ldstmix bit-identical to per-instruction"
+    ~count:250
+    (QCheck.make ~print:core_scenario_print core_scenario_gen)
+    (fun (instrs, rob, warm, chunk) ->
+      let p = Program.of_instrs instrs in
+      let expected = run_core_reference ~rob ~warm ~chunk p in
+      List.for_all
+        (fun setting -> run_core setting ~rob ~warm ~chunk p = expected)
+        [ Auto_fused; Reference_pinned; Mixed_dummy ])
+
+(* Slice_timer: every slice's cycles are the reference core's cycle
+   delta between the same fuel boundaries, with the timer's own run
+   split mid-slice to exercise resumption *)
+let reference_slice_cpis ~rob ~warm ~slice_len p =
+  let core = Core_reference.Core.create ~config:(core_config rob) p in
+  let cpis = ref [] and last = ref 0.0 and partial = ref 0 in
+  let close len =
+    let c = Core_reference.Core.cycles core in
+    cpis := Int64.bits_of_float ((c -. !last) /. float_of_int len) :: !cpis;
+    last := c
+  in
+  let _, outcome =
+    drive ~hooks:(Core_reference.Core.hooks core)
+      ~set_warming:(Core_reference.Core.set_warming core) ~warm
+      ~chunk:slice_len
+      ~on_chunk:(fun len ->
+        if len = slice_len then close len else partial := len)
+      p
+  in
+  (* the timer's [finish]: a trailing slice of at least half length *)
+  if outcome <> 2 && !partial > 0 && !partial >= slice_len / 2 then
+    close !partial;
+  List.rev !cpis
+
+let timer_slice_cpis ~rob ~warm ~slice_len p =
+  let core = Sp_cpu.Interval_core.create ~config:(core_config rob) p in
+  let timer = Sp_cpu.Slice_timer.create ~slice_len core in
+  let m = Interp.create ~entry:0 () in
+  (try
+     let go =
+       if not warm then true
+       else begin
+         Sp_cpu.Interval_core.set_warming core true;
+         let st =
+           Interp.run ~hooks:(Sp_cpu.Interval_core.hooks core)
+             ~syscall:test_syscall ~fuel:warm_fuel p m
+         in
+         Sp_cpu.Interval_core.set_warming core false;
+         st = Interp.Out_of_fuel
+       end
+     in
+     if go then begin
+       let first = test_fuel / 3 in
+       let run fuel =
+         Sp_cpu.Slice_timer.run ~syscall:test_syscall ~fuel timer p m
+       in
+       if run first = Interp.Out_of_fuel then
+         ignore (run (test_fuel - first));
+       Sp_cpu.Slice_timer.finish timer
+     end
+   with Interp.Stack_error _ -> ());
+  List.map Int64.bits_of_float
+    (Array.to_list (Sp_cpu.Slice_timer.slice_cpis timer))
+
+let prop_slice_timer_matches_reference =
+  QCheck.Test.make ~name:"slice timer slices exactly at fuel boundaries"
+    ~count:200
+    (QCheck.make ~print:core_scenario_print core_scenario_gen)
+    (fun (instrs, rob, warm, slice_len) ->
+      let p = Program.of_instrs instrs in
+      reference_slice_cpis ~rob ~warm ~slice_len p
+      = timer_slice_cpis ~rob ~warm ~slice_len p)
 
 (* ------------------------------------------------------------------ *)
 (* Pruned k-means vs the original unpruned implementation.  This is a
@@ -493,6 +672,8 @@ let suite =
     Alcotest.test_case "same-line load counts" `Quick test_same_line_loads;
     Alcotest.test_case "report counters identical across tiers" `Quick
       test_report_counters_identical;
+    QCheck_alcotest.to_alcotest prop_core_matches_reference;
+    QCheck_alcotest.to_alcotest prop_slice_timer_matches_reference;
     QCheck_alcotest.to_alcotest prop_kmeans_matches_naive;
     Alcotest.test_case "k exceeds n" `Quick test_kmeans_k_exceeds_n;
     Alcotest.test_case "identical points" `Quick test_kmeans_identical_points;
