@@ -16,8 +16,8 @@ open Sp_vm
     The hooks are block-level — per-block i-fetch ([on_block]), the
     block's conditional branch ([on_branch]) and one [on_block_mems]
     consumer whose reference offsets give each access's exact
-    instruction position — so an attached core runs on the fused
-    engine tier.  Statistics, floats included, are bit-identical to
+    instruction position — so an attached core runs on the compiled
+    tier.  Statistics, floats included, are bit-identical to
     charging every instruction through per-instruction callbacks, under
     any segmentation (fuel splits, engine pins). *)
 

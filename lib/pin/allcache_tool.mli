@@ -19,9 +19,9 @@ val create :
 val hooks : t -> Hooks.t
 (** The hook set: a single {!Hooks.on_block_mems} consumer that replays
     each delivered segment's i-fetch grid and data references in one
-    pass, with exact same-line/same-page repeat filters.  Under a
-    block-capable engine this runs on the fused block-stepping tier;
-    statistics are bit-identical to walking the TLBs and the hierarchy
+    pass, with exact same-line/same-page repeat filters.  The set is
+    block-level, so it runs on the compiled tier, one segment per block
+    entry; statistics are bit-identical to walking the TLBs and the hierarchy
     once per fetch and data reference (enforced by the differential
     suite against a per-instruction reference model). *)
 
@@ -39,5 +39,5 @@ val set_warming : t -> bool -> unit
 (** Forwarded to the hierarchy: accesses update state but not stats. *)
 
 val reset_state : t -> unit
-(** Clears cache/TLB contents and the fused tier's repeat-filter memos
+(** Clears cache/TLB contents and the repeat-filter memos
     (which are only valid while the lines they name stay resident). *)

@@ -26,7 +26,7 @@ val create : slice_len:int -> Program.t -> t
 
 val hooks : t -> Hooks.t
 (** Block-level hooks ([Hooks.on_block_exec] only), so a BBV-only run
-    executes on the interpreter's block-stepping engine.  Slices are
+    executes on the interpreter's compiled-block tier.  Slices are
     bit-identical whether retirements arrive per instruction or per
     block: block credit that crosses a slice boundary is split at the
     exact instruction. *)

@@ -8,7 +8,7 @@ open Sp_vm
    per-kind classification (imix, and from it the memory-class mix)
    both come from the static program with no per-instruction hook
    dispatch.  The hook set is block-level, so the run stays on the
-   compiled / block-stepping engines. *)
+   compiled tier. *)
 
 type t = {
   bbv : Bbv_tool.t;

@@ -155,7 +155,9 @@ let decode_body data : Pinball.t =
   let program = Program.read progr in
   Binio.expect_end progr "PROG";
   let snapr = section data r "SNAP" in
-  let snapshot = Snapshot.read snapr in
+  let snapshot =
+    Snapshot.read ~code_len:(Array.length program.Program.instrs) snapr
+  in
   Binio.expect_end snapr "SNAP";
   let sysr = section data r "SYSC" in
   let n = Binio.r_count sysr ~elem_bytes:16 "syscall log" in

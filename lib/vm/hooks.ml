@@ -41,35 +41,34 @@ let is_nil h =
       && h.on_branch == ignore_branch)
 
 (* A hook set is block-level when every per-instruction callback is the
-   sentinel.  [on_block], [on_block_exec] and [on_branch] all fire at
-   most once per basic block, so the interpreter may run such a set on
-   its block-stepping path: enter the block, fire the aggregates, then
-   execute the straight-line body with zero dispatch.
+   sentinel.  [on_block], [on_block_exec], [on_block_span],
+   [on_block_mems] and [on_branch] all fire at most once per basic
+   block entry, so the interpreter runs such a set on its compiled
+   tier: enter the block, fire the aggregates, then execute the
+   straight-line body with zero dispatch.
 
    [on_block_exec bb n] means "n instructions of block [bb] retired".
-   It conveys multiplicity only, not position: the block-stepping engine
-   fires it once per block entry (n = straight-line length, or less at a
-   fuel boundary / mid-block resume), while the per-instruction engine
-   fires it with n = 1 per retired instruction.  Tools attached to it
-   must therefore be insensitive to batching — pure counters like BBV
-   collection, not position-dependent watchers.
+   It conveys multiplicity only, not position: the compiled tier fires
+   it once per block entry (n = straight-line length, or less on a
+   mid-block resume), while the reference engine fires it with n = 1
+   per retired instruction.  Tools attached to it must therefore be
+   insensitive to batching — pure counters like BBV collection, not
+   position-dependent watchers.
 
    [on_block_span pc0 n] is the positional sibling of [on_block_exec]:
    "n consecutive instructions starting at pc0 retired".  Spans
    partition the retirement stream exactly, so a tool can classify
    every retired instruction (kind, memory class) from the static
-   program without per-instruction dispatch.  It is still a block-level
-   aggregate — at most one call per block entry on the block-stepping
-   engines — so a live callback keeps the set block-level. *)
+   program without per-instruction dispatch. *)
 let block_level h =
   h.on_instr == ignore2 && h.on_read == ignore1 && h.on_write == ignore1
 
-(* [on_block_mems] is an aggregate like [on_block_exec]: the fused
-   engine delivers one segment per block entry, the per-instruction
-   engines deliver one single-instruction segment per retirement.  A
-   live callback here does not disqualify a set from block-stepping —
-   it selects the fused engine variant instead, which is how the cache
-   tool, the timing core and ldstmix all run block-level. *)
+(* [on_block_mems] is an aggregate like [on_block_exec]: the compiled
+   tier delivers one segment per block entry, the reference engine one
+   single-instruction segment per retirement.  A live callback keeps
+   the set block-level but switches on the compiled tier's per-run
+   collection of data references, which is how the cache tool, the
+   timing core and ldstmix all run block-level. *)
 let has_block_mems h = h.on_block_mems != ignore_mems
 
 let seq a b =

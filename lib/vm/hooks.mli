@@ -11,25 +11,24 @@ type t = {
           block *)
   on_block_exec : int -> int -> unit;
       (** [bb, n]: [n] instructions of block [bb] retired.  The count is
-          an aggregate — the block-stepping engine delivers a whole
-          block entry at once (possibly truncated at a fuel boundary or
-          started mid-block on resume), the per-instruction engine
+          an aggregate — the compiled tier delivers a whole block entry
+          at once (started mid-block on resume), the reference engine
           delivers [n = 1] per retirement.  Tools attached here must
           depend only on the multiplicity, never on instruction
           position; both deliveries then produce bit-identical results. *)
   on_block_span : int -> int -> unit;
       (** [pc0, n]: [n] consecutive instructions starting at pc [pc0]
           retired.  The positional sibling of [on_block_exec]: spans
-          partition the retirement stream exactly (block engines deliver
-          at most one span per block entry — truncated at a fuel
-          boundary, started mid-block on resume — per-instruction
-          engines deliver [n = 1] spans), so a tool can classify every
+          partition the retirement stream exactly (the compiled tier
+          delivers at most one span per block entry — started mid-block
+          on resume — the reference engine delivers [n = 1] spans), so
+          a tool can classify every
           retired instruction against the static program (kind, memory
           class) without per-instruction dispatch.  Tools must be
           insensitive to how the stream is batched into spans; all
           engines then produce bit-identical results.  Still a
-          block-level aggregate: a live callback here keeps the set
-          eligible for block-stepping. *)
+          block-level aggregate: a live callback here keeps the set on
+          the compiled tier. *)
   on_block_mems : int -> int -> int array -> int array -> int -> unit;
       (** [pc0, n, offs, addrs, nrefs]: an aggregate of [n] consecutive
           retired instructions starting at [pc0], carrying all of their
@@ -38,11 +37,11 @@ type t = {
           retirement order; [addrs.(r)] encodes its byte address [a] and
           direction as [(a lsl 1) lor w] with [w = 1] for a write
           ([a = addrs.(r) asr 1] recovers the address).  Segments
-          partition the retirement stream exactly — the fused
-          block-stepping engine delivers at most one segment per block
-          entry (splitting around [Sys] instructions so a raising
-          syscall handler still observes every earlier reference), the
-          per-instruction engine delivers [n = 1] segments.  The arrays
+          partition the retirement stream exactly — the compiled tier
+          delivers at most one segment per block entry (splitting
+          around [Sys] instructions so a raising syscall handler still
+          observes every earlier reference), the reference engine
+          delivers [n = 1] segments.  The arrays
           are reused between calls: callbacks must consume them before
           returning and only read the first [nrefs] entries. *)
   on_instr : int -> int -> unit;
@@ -65,18 +64,15 @@ val is_nil : t -> bool
 val block_level : t -> bool
 (** [block_level h] is true when every per-instruction callback
     ([on_instr], [on_read], [on_write]) is a no-op.  The remaining
-    callbacks all fire at most once per basic block, so the interpreter
-    may run such a hook set on its block-stepping engine: hook dispatch
-    once per block entry, straight-line execution in between.
+    callbacks all fire at most once per basic block entry, so the
+    interpreter runs such a hook set on its compiled tier: hook
+    dispatch once per block entry, straight-line execution in between.
     [on_block_mems] is itself a per-block aggregate, so a live callback
-    there keeps the set block-level (the interpreter picks its fused
-    engine). *)
+    there keeps the set block-level. *)
 
 val has_block_mems : t -> bool
-(** True when the [on_block_mems] aggregate is live; decides
-    between the plain block-stepping engine and the fused one (and, for
-    per-instruction sets, whether single-instruction segments must be
-    delivered). *)
+(** True when the [on_block_mems] aggregate is live; switches on the
+    compiled tier's per-run collection of data references. *)
 
 val seq : t -> t -> t
 (** Run both hook sets, first argument first. *)

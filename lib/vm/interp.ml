@@ -40,10 +40,7 @@ module M = struct
   let tlb_refills = Sp_obs.Metrics.counter "vm.tlb_refills"
   let blocks = Sp_obs.Metrics.counter "vm.blocks_stepped"
   let runs_plain = Sp_obs.Metrics.counter ~stable:false "vm.runs.plain"
-  let runs_block = Sp_obs.Metrics.counter ~stable:false "vm.runs.block"
-  let runs_fused = Sp_obs.Metrics.counter ~stable:false "vm.runs.fused"
   let runs_hooked = Sp_obs.Metrics.counter ~stable:false "vm.runs.hooked"
-  let runs_mixed = Sp_obs.Metrics.counter ~stable:false "vm.runs.mixed"
   let runs_compiled = Sp_obs.Metrics.counter ~stable:false "vm.runs.compiled"
 end
 
@@ -76,7 +73,7 @@ let eval_cond c a b =
   | Gt -> a > b
   | Ge -> a >= b
 
-(* The uninstrumented fast path: the same walk as [run_hooked] below
+(* The uninstrumented fast path: the same walk as [run_reference] below
    with every hook site deleted.  Replay fast-forwarding (region
    capture, warmup positioning) spends billions of instructions here,
    so the duplication buys a loop with zero closure calls — keep the
@@ -169,441 +166,24 @@ let run_plain ~syscall ~fuel (prog : Program.t) (m : machine) =
   !status
 [@@inline never]
 
-(* The block-stepping tier: hooks are block-level ([Hooks.block_level]),
-   so all dispatch happens once per basic-block entry.  The block's
-   extent comes from [Program.block_end]; the straight-line body then
-   executes with no leader tests, no per-instruction fuel checks and no
-   closure calls.  Only the final instruction of a block can transfer
-   control, so the body match never sees one.
+(* The per-instruction reference engine: every hook fires per
+   retirement, in program order, with no batching — the engine the
+   conformance suite checks the compiled tier against, and the one that
+   runs hook sets with live per-instruction callbacks.  Each callback's
+   liveness is tested once per run, so an absent hook costs one
+   predictable branch per site.
 
-   Invariants kept in lockstep with the per-instruction engines:
-   - [m.icount] is bulk-advanced at block entry, but any [Sys]
-     instruction observes the exact per-instruction count (pinball
-     logging records syscalls as [icount - 1]) and [m.pc] is set to the
-     syscall's pc so a raising handler leaves the machine addressable;
-   - a fuel boundary mid-block retires exactly [remaining] instructions
-     and leaves [m.pc] at the next unexecuted one, so resumed runs are
-     bit-identical to uninterrupted ones;
-   - [on_block] fires only when entering through the leader (a resume
-     mid-block does not re-announce the block), [on_block_exec] fires on
-     every entry with the retired count, and [on_branch] fires at the
-     terminator exactly as the per-instruction engines do. *)
-let run_block ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let block_end = prog.block_end in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_branch = hooks.Hooks.on_branch in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  let blocks = ref 0 in
-  while !running do
-    incr blocks;
-    let pc0 = m.pc in
-    let bb = Array.unsafe_get bb_of_pc pc0 in
-    if Array.unsafe_get is_leader pc0 then on_block bb;
-    let stop = Array.unsafe_get block_end bb in
-    let avail = stop - pc0 in
-    let n = if avail <= !remaining then avail else !remaining in
-    on_block_exec bb n;
-    if has_span then on_block_span pc0 n;
-    m.icount <- m.icount + n;
-    remaining := !remaining - n;
-    let last = pc0 + n - 1 in
-    for pc = pc0 to last - 1 do
-      match Array.unsafe_get instrs pc with
-      | Alu (op, rd, r1, r2) ->
-          Array.unsafe_set regs rd
-            (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2))
-      | Alui (op, rd, r1, imm) ->
-          Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm)
-      | Li (rd, imm) -> Array.unsafe_set regs rd imm
-      | Mov (rd, rs) -> Array.unsafe_set regs rd (Array.unsafe_get regs rs)
-      | Load (rd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          Array.unsafe_set regs rd (Memory.load mem a)
-      | Store (rv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          Memory.store mem a (Array.unsafe_get regs rv)
-      | Movs (rdst, rsrc) ->
-          let src = Array.unsafe_get regs rsrc in
-          let dst = Array.unsafe_get regs rdst in
-          Memory.store mem dst (Memory.load mem src)
-      | Falu (op, fd, f1, f2) ->
-          Array.unsafe_set fregs fd
-            (exec_falu op (Array.unsafe_get fregs f1)
-               (Array.unsafe_get fregs f2))
-      | Fload (fd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          Array.unsafe_set fregs fd (Memory.loadf mem a)
-      | Fstore (fv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          Memory.storef mem a (Array.unsafe_get fregs fv)
-      | Fmovi (fd, x) -> Array.unsafe_set fregs fd x
-      | Cvtif (fd, rs) ->
-          Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs))
-      | Cvtfi (rd, fs) ->
-          Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs))
-      | Sys (num, rd) ->
-          (* expose the exact retirement index to the handler *)
-          let bulk = m.icount in
-          m.icount <- bulk - (last - pc);
-          m.pc <- pc;
-          Array.unsafe_set regs rd (syscall num);
-          m.icount <- bulk
-      | Branch _ | Jump _ | Call _ | Ret | Halt ->
-          (* control instructions end their block *)
-          assert false
-    done;
-    let pc = last in
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Sys (num, rd) ->
-        m.pc <- pc;
-        Array.unsafe_set regs rd (syscall num);
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc))
-        end;
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc))
-        end;
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Halt ->
-        m.pc <- pc;
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  Sp_obs.Metrics.add M.blocks !blocks;
-  !status
-[@@inline never]
+   Aggregate deliveries are the finest the contracts allow:
+   [on_block_exec] and [on_block_span] carry [n = 1], and
+   [on_block_mems] gets one single-instruction segment per retirement,
+   delivered before the instruction's effect — so a raising syscall
+   handler or a [Call]/[Ret] stack error leaves a segment tool having
+   seen the faulting instruction, as on the compiled tier.
 
-(* The fused block-stepping tier: [run_block] plus collection of the
-   straight-line body's data references into per-run buffers, delivered
-   to [on_block_mems] as one aggregate segment per block entry.  The
-   cache tool then walks the block's i-fetch line/page grid and its
-   data stream in one pass, and the timing core and ldstmix charge the
-   segment's instructions and references, instead of being called back
-   per instruction.
-
-   Segment invariants (the exactness contract with the tool):
-   - segments partition the retirement stream: every retired
-     instruction belongs to exactly one segment, in order, so the
-     tool's reconstructed fetch stream is the per-instruction one;
-   - a [Sys] in the body flushes the segment up to and including the
-     syscall instruction *before* invoking the handler — the
-     per-instruction tier fires the fetch hook before executing, so a
-     raising handler must leave the tool having seen exactly the same
-     prefix;
-   - the terminator's references are collected (addresses are
-     computable before any state change) and the whole segment flushed
-     before the terminator's effect runs, so a [Call]/[Ret] stack
-     error also leaves the tool exactly one instruction ahead of the
-     machine, as the per-instruction tier does;
-   - reference buffers are reused across segments; offsets are relative
-     to the segment start and addresses carry the write bit in bit 0
-     (see [Hooks.on_block_mems]). *)
-let run_fused ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let block_end = prog.block_end in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_block_mems = hooks.Hooks.on_block_mems in
-  let on_branch = hooks.Hooks.on_branch in
-  (* at most two references per instruction (Movs: read then write) *)
-  let cap = 2 * prog.max_block_len in
-  let offs = Array.make cap 0 in
-  let addrs = Array.make cap 0 in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  let blocks = ref 0 in
-  while !running do
-    incr blocks;
-    let pc0 = m.pc in
-    let bb = Array.unsafe_get bb_of_pc pc0 in
-    if Array.unsafe_get is_leader pc0 then on_block bb;
-    let stop = Array.unsafe_get block_end bb in
-    let avail = stop - pc0 in
-    let n = if avail <= !remaining then avail else !remaining in
-    on_block_exec bb n;
-    if has_span then on_block_span pc0 n;
-    m.icount <- m.icount + n;
-    remaining := !remaining - n;
-    let last = pc0 + n - 1 in
-    let seg_start = ref pc0 in
-    let nrefs = ref 0 in
-    for pc = pc0 to last - 1 do
-      match Array.unsafe_get instrs pc with
-      | Alu (op, rd, r1, r2) ->
-          Array.unsafe_set regs rd
-            (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2))
-      | Alui (op, rd, r1, imm) ->
-          Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm)
-      | Li (rd, imm) -> Array.unsafe_set regs rd imm
-      | Mov (rd, rs) -> Array.unsafe_set regs rd (Array.unsafe_get regs rs)
-      | Load (rd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r (a lsl 1);
-          nrefs := r + 1;
-          Array.unsafe_set regs rd (Memory.load mem a)
-      | Store (rv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r ((a lsl 1) lor 1);
-          nrefs := r + 1;
-          Memory.store mem a (Array.unsafe_get regs rv)
-      | Movs (rdst, rsrc) ->
-          let src = Array.unsafe_get regs rsrc in
-          let dst = Array.unsafe_get regs rdst in
-          let r = !nrefs in
-          let o = pc - !seg_start in
-          Array.unsafe_set offs r o;
-          Array.unsafe_set addrs r (src lsl 1);
-          Array.unsafe_set offs (r + 1) o;
-          Array.unsafe_set addrs (r + 1) ((dst lsl 1) lor 1);
-          nrefs := r + 2;
-          Memory.store mem dst (Memory.load mem src)
-      | Falu (op, fd, f1, f2) ->
-          Array.unsafe_set fregs fd
-            (exec_falu op (Array.unsafe_get fregs f1)
-               (Array.unsafe_get fregs f2))
-      | Fload (fd, rs, off) ->
-          let a = Array.unsafe_get regs rs + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r (a lsl 1);
-          nrefs := r + 1;
-          Array.unsafe_set fregs fd (Memory.loadf mem a)
-      | Fstore (fv, rb, off) ->
-          let a = Array.unsafe_get regs rb + off in
-          let r = !nrefs in
-          Array.unsafe_set offs r (pc - !seg_start);
-          Array.unsafe_set addrs r ((a lsl 1) lor 1);
-          nrefs := r + 1;
-          Memory.storef mem a (Array.unsafe_get fregs fv)
-      | Fmovi (fd, x) -> Array.unsafe_set fregs fd x
-      | Cvtif (fd, rs) ->
-          Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs))
-      | Cvtfi (rd, fs) ->
-          Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs))
-      | Sys (num, rd) ->
-          (* flush through the syscall instruction, then expose the
-             exact retirement index to the handler *)
-          on_block_mems !seg_start (pc - !seg_start + 1) offs addrs !nrefs;
-          nrefs := 0;
-          seg_start := pc + 1;
-          let bulk = m.icount in
-          m.icount <- bulk - (last - pc);
-          m.pc <- pc;
-          Array.unsafe_set regs rd (syscall num);
-          m.icount <- bulk
-      | Branch _ | Jump _ | Call _ | Ret | Halt ->
-          (* control instructions end their block *)
-          assert false
-    done;
-    let pc = last in
-    (* the terminator's data addresses depend only on registers, so they
-       can be collected — and the whole segment flushed — before its
-       effect runs (see the invariants above) *)
-    (match Array.unsafe_get instrs pc with
-    | Load (_, rs, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r ((Array.unsafe_get regs rs + off) lsl 1);
-        nrefs := r + 1
-    | Store (_, rb, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r
-          (((Array.unsafe_get regs rb + off) lsl 1) lor 1);
-        nrefs := r + 1
-    | Movs (rdst, rsrc) ->
-        let r = !nrefs in
-        let o = pc - !seg_start in
-        Array.unsafe_set offs r o;
-        Array.unsafe_set addrs r (Array.unsafe_get regs rsrc lsl 1);
-        Array.unsafe_set offs (r + 1) o;
-        Array.unsafe_set addrs (r + 1) ((Array.unsafe_get regs rdst lsl 1) lor 1);
-        nrefs := r + 2
-    | Fload (_, rs, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r ((Array.unsafe_get regs rs + off) lsl 1);
-        nrefs := r + 1
-    | Fstore (_, rb, off) ->
-        let r = !nrefs in
-        Array.unsafe_set offs r (pc - !seg_start);
-        Array.unsafe_set addrs r
-          (((Array.unsafe_get regs rb + off) lsl 1) lor 1);
-        nrefs := r + 1
-    | _ -> ());
-    on_block_mems !seg_start (pc - !seg_start + 1) offs addrs !nrefs;
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Sys (num, rd) ->
-        m.pc <- pc;
-        Array.unsafe_set regs rd (syscall num);
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc))
-        end;
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then begin
-          m.pc <- pc;
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc))
-        end;
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Halt ->
-        m.pc <- pc;
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  Sp_obs.Metrics.add M.blocks !blocks;
-  !status
-[@@inline never]
-
-let run_hooked ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
+   [vm.blocks_stepped] counts what a block-at-a-time walk of the same
+   run would: the run's first instruction plus each leader entered
+   after it. *)
+let run_reference ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let instrs = prog.instrs in
   let kinds = prog.kinds in
   let is_leader = prog.is_leader in
@@ -611,260 +191,145 @@ let run_hooked ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let regs = m.regs in
   let fregs = m.fregs in
   let mem = m.mem in
+  let nil = Hooks.nil in
   let on_block = hooks.Hooks.on_block in
+  let has_block = on_block != nil.Hooks.on_block in
   let on_block_exec = hooks.Hooks.on_block_exec in
-  let has_block_exec = on_block_exec != Hooks.nil.Hooks.on_block_exec in
+  let has_block_exec = on_block_exec != nil.Hooks.on_block_exec in
   let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
-  let on_instr = hooks.Hooks.on_instr in
-  let on_read = hooks.Hooks.on_read in
-  let on_write = hooks.Hooks.on_write in
-  let on_branch = hooks.Hooks.on_branch in
-  let remaining = ref fuel in
-  let status = ref Out_of_fuel in
-  let running = ref (fuel > 0) in
-  while !running do
-    let pc = m.pc in
-    if Array.unsafe_get is_leader pc then on_block (Array.unsafe_get bb_of_pc pc);
-    (* block-level tools seq'd with per-instruction ones still see every
-       retirement, one block-credit at a time *)
-    if has_block_exec then on_block_exec (Array.unsafe_get bb_of_pc pc) 1;
-    if has_span then on_block_span pc 1;
-    on_instr pc (Array.unsafe_get kinds pc);
-    m.icount <- m.icount + 1;
-    decr remaining;
-    (match Array.unsafe_get instrs pc with
-    | Alu (op, rd, r1, r2) ->
-        Array.unsafe_set regs rd
-          (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        m.pc <- pc + 1
-    | Alui (op, rd, r1, imm) ->
-        Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        m.pc <- pc + 1
-    | Li (rd, imm) ->
-        Array.unsafe_set regs rd imm;
-        m.pc <- pc + 1
-    | Mov (rd, rs) ->
-        Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        m.pc <- pc + 1
-    | Load (rd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        on_read a;
-        Array.unsafe_set regs rd (Memory.load mem a);
-        m.pc <- pc + 1
-    | Store (rv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        on_write a;
-        Memory.store mem a (Array.unsafe_get regs rv);
-        m.pc <- pc + 1
-    | Movs (rdst, rsrc) ->
-        let src = Array.unsafe_get regs rsrc in
-        let dst = Array.unsafe_get regs rdst in
-        on_read src;
-        on_write dst;
-        Memory.store mem dst (Memory.load mem src);
-        m.pc <- pc + 1
-    | Falu (op, fd, f1, f2) ->
-        Array.unsafe_set fregs fd
-          (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        m.pc <- pc + 1
-    | Fload (fd, rs, off) ->
-        let a = Array.unsafe_get regs rs + off in
-        on_read a;
-        Array.unsafe_set fregs fd (Memory.loadf mem a);
-        m.pc <- pc + 1
-    | Fstore (fv, rb, off) ->
-        let a = Array.unsafe_get regs rb + off in
-        on_write a;
-        Memory.storef mem a (Array.unsafe_get fregs fv);
-        m.pc <- pc + 1
-    | Fmovi (fd, x) ->
-        Array.unsafe_set fregs fd x;
-        m.pc <- pc + 1
-    | Cvtif (fd, rs) ->
-        Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        m.pc <- pc + 1
-    | Cvtfi (rd, fs) ->
-        Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        m.pc <- pc + 1
-    | Branch (c, r1, r2, target) ->
-        let taken =
-          eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
-        in
-        on_branch pc taken;
-        m.pc <- (if taken then target else pc + 1)
-    | Jump target -> m.pc <- target
-    | Call target ->
-        if m.sp >= stack_depth then
-          raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc));
-        m.callstack.(m.sp) <- pc + 1;
-        m.sp <- m.sp + 1;
-        m.pc <- target
-    | Ret ->
-        if m.sp <= 0 then
-          raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc));
-        m.sp <- m.sp - 1;
-        m.pc <- m.callstack.(m.sp)
-    | Sys (n, rd) ->
-        Array.unsafe_set regs rd (syscall n);
-        m.pc <- pc + 1
-    | Halt ->
-        status := Halted;
-        running := false);
-    if !remaining <= 0 then running := false
-  done;
-  !status
-[@@inline never]
-
-(* [run_hooked] plus [on_block_mems] delivery: when a fused (segment
-   consuming) tool is seq'd with genuinely per-instruction hooks, the
-   set cannot block-step, but the fused tool must still see every
-   retirement exactly once.  This copy delivers one single-instruction
-   segment per retired instruction — flushed after execution for
-   ordinary instructions, but *before* a syscall handler runs and
-   before a [Call]/[Ret] stack error is raised, matching the fetch
-   visibility of the per-instruction hooks.  Kept separate from
-   [run_hooked] so hook sets without a fused tool pay nothing. *)
-let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
-  let instrs = prog.instrs in
-  let kinds = prog.kinds in
-  let is_leader = prog.is_leader in
-  let bb_of_pc = prog.bb_of_pc in
-  let regs = m.regs in
-  let fregs = m.fregs in
-  let mem = m.mem in
-  let on_block = hooks.Hooks.on_block in
-  let on_block_exec = hooks.Hooks.on_block_exec in
-  let has_block_exec = on_block_exec != Hooks.nil.Hooks.on_block_exec in
-  let on_block_span = hooks.Hooks.on_block_span in
-  let has_span = on_block_span != Hooks.nil.Hooks.on_block_span in
+  let has_span = on_block_span != nil.Hooks.on_block_span in
   let on_block_mems = hooks.Hooks.on_block_mems in
+  let has_mems = on_block_mems != nil.Hooks.on_block_mems in
   let on_instr = hooks.Hooks.on_instr in
+  let has_instr = on_instr != nil.Hooks.on_instr in
   let on_read = hooks.Hooks.on_read in
+  let has_read = on_read != nil.Hooks.on_read in
   let on_write = hooks.Hooks.on_write in
+  let has_write = on_write != nil.Hooks.on_write in
   let on_branch = hooks.Hooks.on_branch in
-  (* single-instruction segments: both offsets are 0, at most two refs *)
+  let has_branch = on_branch != nil.Hooks.on_branch in
+  (* single-instruction segments: every offset is 0, at most two refs *)
   let offs = Array.make 2 0 in
   let addrs = Array.make 2 0 in
   let remaining = ref fuel in
   let status = ref Out_of_fuel in
   let running = ref (fuel > 0) in
+  let blocks =
+    ref (if fuel > 0 && not (Array.unsafe_get is_leader m.pc) then 1 else 0)
+  in
   while !running do
     let pc = m.pc in
-    if Array.unsafe_get is_leader pc then on_block (Array.unsafe_get bb_of_pc pc);
+    if Array.unsafe_get is_leader pc then begin
+      incr blocks;
+      if has_block then on_block (Array.unsafe_get bb_of_pc pc)
+    end;
     if has_block_exec then on_block_exec (Array.unsafe_get bb_of_pc pc) 1;
     if has_span then on_block_span pc 1;
-    on_instr pc (Array.unsafe_get kinds pc);
+    if has_instr then on_instr pc (Array.unsafe_get kinds pc);
     m.icount <- m.icount + 1;
     decr remaining;
-    (match Array.unsafe_get instrs pc with
+    let instr = Array.unsafe_get instrs pc in
+    if has_mems then begin
+      (* addresses depend only on registers: collect them before the
+         effect, then deliver *)
+      let nrefs =
+        match instr with
+        | Load (_, rs, off) | Fload (_, rs, off) ->
+            Array.unsafe_set addrs 0 ((Array.unsafe_get regs rs + off) lsl 1);
+            1
+        | Store (_, rb, off) | Fstore (_, rb, off) ->
+            Array.unsafe_set addrs 0
+              (((Array.unsafe_get regs rb + off) lsl 1) lor 1);
+            1
+        | Movs (rdst, rsrc) ->
+            Array.unsafe_set addrs 0 (Array.unsafe_get regs rsrc lsl 1);
+            Array.unsafe_set addrs 1 ((Array.unsafe_get regs rdst lsl 1) lor 1);
+            2
+        | _ -> 0
+      in
+      on_block_mems pc 1 offs addrs nrefs
+    end;
+    (match instr with
     | Alu (op, rd, r1, r2) ->
         Array.unsafe_set regs rd
           (exec_alu op (Array.unsafe_get regs r1) (Array.unsafe_get regs r2));
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Alui (op, rd, r1, imm) ->
         Array.unsafe_set regs rd (exec_alu op (Array.unsafe_get regs r1) imm);
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Li (rd, imm) ->
         Array.unsafe_set regs rd imm;
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Mov (rd, rs) ->
         Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Load (rd, rs, off) ->
         let a = Array.unsafe_get regs rs + off in
-        on_read a;
+        if has_read then on_read a;
         Array.unsafe_set regs rd (Memory.load mem a);
-        Array.unsafe_set addrs 0 (a lsl 1);
-        on_block_mems pc 1 offs addrs 1;
         m.pc <- pc + 1
     | Store (rv, rb, off) ->
         let a = Array.unsafe_get regs rb + off in
-        on_write a;
+        if has_write then on_write a;
         Memory.store mem a (Array.unsafe_get regs rv);
-        Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
-        on_block_mems pc 1 offs addrs 1;
         m.pc <- pc + 1
     | Movs (rdst, rsrc) ->
         let src = Array.unsafe_get regs rsrc in
         let dst = Array.unsafe_get regs rdst in
-        on_read src;
-        on_write dst;
+        if has_read then on_read src;
+        if has_write then on_write dst;
         Memory.store mem dst (Memory.load mem src);
-        Array.unsafe_set addrs 0 (src lsl 1);
-        Array.unsafe_set addrs 1 ((dst lsl 1) lor 1);
-        on_block_mems pc 1 offs addrs 2;
         m.pc <- pc + 1
     | Falu (op, fd, f1, f2) ->
         Array.unsafe_set fregs fd
           (exec_falu op (Array.unsafe_get fregs f1) (Array.unsafe_get fregs f2));
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Fload (fd, rs, off) ->
         let a = Array.unsafe_get regs rs + off in
-        on_read a;
+        if has_read then on_read a;
         Array.unsafe_set fregs fd (Memory.loadf mem a);
-        Array.unsafe_set addrs 0 (a lsl 1);
-        on_block_mems pc 1 offs addrs 1;
         m.pc <- pc + 1
     | Fstore (fv, rb, off) ->
         let a = Array.unsafe_get regs rb + off in
-        on_write a;
+        if has_write then on_write a;
         Memory.storef mem a (Array.unsafe_get fregs fv);
-        Array.unsafe_set addrs 0 ((a lsl 1) lor 1);
-        on_block_mems pc 1 offs addrs 1;
         m.pc <- pc + 1
     | Fmovi (fd, x) ->
         Array.unsafe_set fregs fd x;
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Cvtif (fd, rs) ->
         Array.unsafe_set fregs fd (float_of_int (Array.unsafe_get regs rs));
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Cvtfi (rd, fs) ->
         Array.unsafe_set regs rd (int_of_float (Array.unsafe_get fregs fs));
-        on_block_mems pc 1 offs addrs 0;
         m.pc <- pc + 1
     | Branch (c, r1, r2, target) ->
         let taken =
           eval_cond c (Array.unsafe_get regs r1) (Array.unsafe_get regs r2)
         in
-        on_branch pc taken;
-        on_block_mems pc 1 offs addrs 0;
+        if has_branch then on_branch pc taken;
         m.pc <- (if taken then target else pc + 1)
-    | Jump target ->
-        on_block_mems pc 1 offs addrs 0;
-        m.pc <- target
+    | Jump target -> m.pc <- target
     | Call target ->
-        on_block_mems pc 1 offs addrs 0;
         if m.sp >= stack_depth then
           raise (Stack_error (Printf.sprintf "call-stack overflow at pc %d" pc));
         m.callstack.(m.sp) <- pc + 1;
         m.sp <- m.sp + 1;
         m.pc <- target
     | Ret ->
-        on_block_mems pc 1 offs addrs 0;
         if m.sp <= 0 then
           raise (Stack_error (Printf.sprintf "ret on empty stack at pc %d" pc));
         m.sp <- m.sp - 1;
         m.pc <- m.callstack.(m.sp)
     | Sys (n, rd) ->
-        (* flush before the handler: a raising handler must leave the
-           fused tool having seen this instruction's fetch *)
-        on_block_mems pc 1 offs addrs 0;
         Array.unsafe_set regs rd (syscall n);
         m.pc <- pc + 1
     | Halt ->
-        on_block_mems pc 1 offs addrs 0;
         status := Halted;
         running := false);
     if !remaining <= 0 then running := false
   done;
+  Sp_obs.Metrics.add M.blocks !blocks;
   !status
 [@@inline never]
 
@@ -890,21 +355,42 @@ let run_mixed ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
    so they cannot capture any per-run state: machine, syscall handler
    and hooks travel in a [cenv] handed to every closure.
 
-   Contracts kept in lockstep with the other engines:
+   Contracts kept in lockstep with the reference engine:
    - hook events: each block's closure chain starts with a prologue
-     firing [on_block]/[on_block_exec]/[on_block_span] exactly as
-     [run_block] does at a block entry; mid-block resume entries fire
-     the partial aggregates without [on_block];
+     firing [on_block]/[on_block_exec]/[on_block_span] once per block
+     entry; mid-block resume entries fire the partial aggregates
+     without [on_block];
    - [m.icount] is bulk-advanced for the whole chain at dispatch, and
      every [Sys] closure rolls it back to the exact per-instruction
      value (the remainder of its chain is a compile-time constant), so
      pinball syscall logging stays tier-independent; a [Call] overflow
      rolls back the same way before raising;
    - fuel: a chain is dispatched only when the remaining fuel covers it
-     entirely; otherwise the run tail is delegated to the
-     block-stepping tier (or the plain tier when nothing is hooked),
-     which lands the fuel boundary on exactly the same instruction with
-     identical partial-block events and machine state. *)
+     entirely; otherwise the run tail is delegated to the reference
+     engine (or the plain tier when nothing is hooked), which lands the
+     fuel boundary on exactly the same instruction with identical
+     machine state.
+
+   Data-reference segments, when [on_block_mems] is live (the per-run
+   [c_collect] flag; nil and profile runs share the same closures and
+   skip every collection site):
+   - segments partition the retirement stream: every retired
+     instruction belongs to exactly one segment, in order, and a
+     segment never spans two blocks.  A block's prologue (or a
+     mid-block resume entry) opens one at its own pc; memory closures
+     append [(pc - c_seg, addr lsl 1 lor write)] into per-run buffers
+     of [2 * max_block_len] entries (a [Movs] reads, then writes);
+   - a [Sys] flushes the segment through itself *before* its handler
+     runs — a raising handler must leave the tool having seen the
+     syscall's fetch — and reopens it at [pc + 1], or closes it when
+     the [Sys] ends its block, so no empty segment is ever delivered;
+   - every other segment is flushed at its block boundary, before any
+     later event: a [Branch] flushes before [on_branch], a [Call]/[Ret]
+     stack error flushes before raising (the tool ends one instruction
+     ahead of the machine), and a chained [Jump]/[Call]/fallthrough
+     leaves the flush to the next block's prologue, a chain exit to the
+     dispatcher.  No flush adds a closure call: each check is folded
+     into a closure that runs anyway. *)
 
 type cenv = {
   cm : machine;
@@ -916,9 +402,38 @@ type cenv = {
   c_block_exec : int -> int -> unit;
   c_span : int -> int -> unit;
   c_branch : int -> bool -> unit;
+  c_mems : int -> int -> int array -> int array -> int -> unit;
   c_hooked : bool;
+  c_collect : bool;
+  c_offs : int array;
+  c_addrs : int array;
+  mutable c_nrefs : int;
+  mutable c_seg : int;  (* first pc of the open segment *)
+  mutable c_seg_last : int;  (* last pc of its block *)
+  mutable c_open : bool;  (* a segment awaits delivery *)
   mutable c_halted : bool;
 }
+
+let open_segment e pc last =
+  e.c_seg <- pc;
+  e.c_seg_last <- last;
+  e.c_nrefs <- 0;
+  e.c_open <- true
+
+(* deliver the open segment up to and including [last] *)
+let flush_segment e last =
+  let s = e.c_seg in
+  e.c_mems s (last - s + 1) e.c_offs e.c_addrs e.c_nrefs
+
+let close_segment e =
+  e.c_open <- false;
+  flush_segment e e.c_seg_last
+
+let[@inline] record e pc x =
+  let r = e.c_nrefs in
+  Array.unsafe_set e.c_offs r (pc - e.c_seg);
+  Array.unsafe_set e.c_addrs r x;
+  e.c_nrefs <- r + 1
 
 type compiled = {
   entry_code : (cenv -> unit) array;
@@ -938,9 +453,10 @@ let max_chain_insns = 1024
 (* One non-control instruction: perform the effect, tail-call [next].
    [clen_next] is the number of instructions the rest of the chain
    retires after this one — the compile-time icount rollback a [Sys]
-   needs to expose the exact per-instruction count to its handler. *)
-let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
-    cenv -> unit =
+   needs to expose the exact per-instruction count to its handler;
+   [last] says the instruction ends its block. *)
+let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next
+    ~last : cenv -> unit =
   match i with
   | Alu (op, rd, r1, r2) -> (
       match (op : Isa.alu_op) with
@@ -1077,12 +593,14 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
       fun e ->
         let regs = e.cregs in
         let a = Array.unsafe_get regs rs + off in
+        if e.c_collect then record e pc (a lsl 1);
         Array.unsafe_set regs rd (Memory.load e.cmem a);
         next e
   | Store (rv, rb, off) ->
       fun e ->
         let regs = e.cregs in
         let a = Array.unsafe_get regs rb + off in
+        if e.c_collect then record e pc ((a lsl 1) lor 1);
         Memory.store e.cmem a (Array.unsafe_get regs rv);
         next e
   | Movs (rdst, rsrc) ->
@@ -1091,6 +609,10 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
         let mem = e.cmem in
         let src = Array.unsafe_get regs rsrc in
         let dst = Array.unsafe_get regs rdst in
+        if e.c_collect then begin
+          record e pc (src lsl 1);
+          record e pc ((dst lsl 1) lor 1)
+        end;
         Memory.store mem dst (Memory.load mem src);
         next e
   | Falu (op, fd, f1, f2) -> (
@@ -1123,11 +645,13 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
   | Fload (fd, rs, off) ->
       fun e ->
         let a = Array.unsafe_get e.cregs rs + off in
+        if e.c_collect then record e pc (a lsl 1);
         Array.unsafe_set e.cfregs fd (Memory.loadf e.cmem a);
         next e
   | Fstore (fv, rb, off) ->
       fun e ->
         let a = Array.unsafe_get e.cregs rb + off in
+        if e.c_collect then record e pc ((a lsl 1) lor 1);
         Memory.storef e.cmem a (Array.unsafe_get e.cfregs fv);
         next e
   | Fmovi (fd, x) ->
@@ -1147,6 +671,12 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
   | Sys (num, rd) ->
       let rb = clen_next in
       fun e ->
+        if e.c_collect then
+          if last then close_segment e
+          else begin
+            flush_segment e pc;
+            open_segment e (pc + 1) e.c_seg_last
+          end;
         (* expose the exact retirement index and pc to the handler: the
            chain's bulk advance overshoots by the statically known
            remainder [rb] *)
@@ -1161,6 +691,10 @@ let compile_straight pc (i : Isa.instr) ~(next : cenv -> unit) ~clen_next :
       (* control instructions are compiled by the terminator pass *)
       assert false
 
+let[@inline] branch_event e pc taken =
+  if e.c_open then close_segment e;
+  e.c_branch pc taken
+
 let compile_branch pc c r1 r2 target : cenv -> unit =
   let next_pc = pc + 1 in
   match (c : Isa.cond) with
@@ -1168,37 +702,37 @@ let compile_branch pc c r1 r2 target : cenv -> unit =
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 = Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Ne ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 <> Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Lt ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 < Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Le ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 <= Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Gt ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 > Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
   | Ge ->
       fun e ->
         let regs = e.cregs in
         let taken = Array.unsafe_get regs r1 >= Array.unsafe_get regs r2 in
-        if e.c_hooked then e.c_branch pc taken;
+        if e.c_hooked then branch_event e pc taken;
         e.cm.pc <- (if taken then target else next_pc)
 
 let compile (prog : Program.t) : compiled =
@@ -1211,19 +745,17 @@ let compile (prog : Program.t) : compiled =
   (* [code.(pc)]: closure for the in-chain continuation at [pc] — block
      leaders carry their hook prologue, body pcs do not, so a chain
      link into a leader fires the next block's events exactly like a
-     fresh [run_block] entry.  [entry_code.(pc)] is what the dispatcher
+     fresh block entry.  [entry_code.(pc)] is what the dispatcher
      calls: the same closure for leaders, a partial-aggregate wrapper
-     for mid-block resume points.  Index [n] catches a program that
-     runs off the end (the per-instruction tiers fault on the
-     out-of-range fetch; here it raises cleanly). *)
-  let code : (cenv -> unit) array = Array.make (n + 1) unreachable in
-  let entry_code : (cenv -> unit) array = Array.make (n + 1) unreachable in
-  let clen = Array.make (n + 1) 0 in
-  let entry_blocks = Array.make (n + 1) 0 in
+     for mid-block resume points.  Every program ends in a [Halt],
+     [Jump] or [Ret] ([Program.of_instrs]), so no chain runs off the
+     end. *)
+  let code : (cenv -> unit) array = Array.make n unreachable in
+  let entry_code : (cenv -> unit) array = Array.make n unreachable in
+  let clen = Array.make n 0 in
+  let entry_blocks = Array.make n 0 in
   (* dynamic block entries made by a chain entering block [b] *)
   let blocks_from = Array.make nblocks 1 in
-  entry_code.(n) <-
-    (fun _ -> invalid_arg "Interp: execution ran off the end of the program");
   (* Decreasing block order: every chain target (strictly beyond the
      current terminator) is already compiled and wrapped. *)
   for b = nblocks - 1 downto 0 do
@@ -1231,7 +763,11 @@ let compile (prog : Program.t) : compiled =
     let start = blk.Program.start_pc in
     let len = blk.Program.len in
     let term_pc = start + len - 1 in
-    let chainable t = t > term_pc && t < n && len + clen.(t) <= max_chain_insns in
+    let chainable t = t > term_pc && len + clen.(t) <= max_chain_insns in
+    let chain t =
+      clen.(term_pc) <- 1 + clen.(t);
+      blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(t))
+    in
     (match instrs.(term_pc) with
     | Branch (c, r1, r2, target) ->
         code.(term_pc) <- compile_branch term_pc c r1 r2 target;
@@ -1241,8 +777,7 @@ let compile (prog : Program.t) : compiled =
           (* the jump's only effect is the pc change the chain link
              makes implicit: compile it to the target's closure *)
           code.(term_pc) <- code.(target);
-          clen.(term_pc) <- 1 + clen.(target);
-          blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(target))
+          chain target
         end
         else begin
           code.(term_pc) <- (fun e -> e.cm.pc <- target);
@@ -1250,35 +785,34 @@ let compile (prog : Program.t) : compiled =
         end
     | Call target ->
         let ret_pc = term_pc + 1 in
-        if chainable target then begin
+        let chained = chainable target in
+        (* overflow leaves the machine at the call, with the chain's
+           bulk icount advance beyond it rolled back *)
+        let rb = if chained then clen.(target) else 0 in
+        let overflow e =
+          let m = e.cm in
+          m.icount <- m.icount - rb;
+          m.pc <- term_pc;
+          if e.c_open then close_segment e;
+          raise
+            (Stack_error (Printf.sprintf "call-stack overflow at pc %d" term_pc))
+        in
+        if chained then begin
           let tgt = code.(target) in
-          let rb = clen.(target) in
           code.(term_pc) <-
             (fun e ->
               let m = e.cm in
-              if m.sp >= stack_depth then begin
-                m.icount <- m.icount - rb;
-                m.pc <- term_pc;
-                raise
-                  (Stack_error
-                     (Printf.sprintf "call-stack overflow at pc %d" term_pc))
-              end;
+              if m.sp >= stack_depth then overflow e;
               m.callstack.(m.sp) <- ret_pc;
               m.sp <- m.sp + 1;
               tgt e);
-          clen.(term_pc) <- 1 + clen.(target);
-          blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(target))
+          chain target
         end
         else begin
           code.(term_pc) <-
             (fun e ->
               let m = e.cm in
-              if m.sp >= stack_depth then begin
-                m.pc <- term_pc;
-                raise
-                  (Stack_error
-                     (Printf.sprintf "call-stack overflow at pc %d" term_pc))
-              end;
+              if m.sp >= stack_depth then overflow e;
               m.callstack.(m.sp) <- ret_pc;
               m.sp <- m.sp + 1;
               m.pc <- target);
@@ -1290,6 +824,7 @@ let compile (prog : Program.t) : compiled =
             let m = e.cm in
             if m.sp <= 0 then begin
               m.pc <- term_pc;
+              if e.c_open then close_segment e;
               raise
                 (Stack_error
                    (Printf.sprintf "ret on empty stack at pc %d" term_pc))
@@ -1305,32 +840,38 @@ let compile (prog : Program.t) : compiled =
         clen.(term_pc) <- 1
     | i ->
         (* fallthrough terminator: a non-control instruction whose
-           successor is a leader (or the end of the program) *)
+           successor is a leader *)
         let succ = term_pc + 1 in
         if chainable succ then begin
           code.(term_pc) <-
-            compile_straight term_pc i ~next:code.(succ) ~clen_next:clen.(succ);
-          clen.(term_pc) <- 1 + clen.(succ);
-          blocks_from.(b) <- 1 + blocks_from.(bb_of_pc.(succ))
+            compile_straight term_pc i ~next:code.(succ) ~clen_next:clen.(succ)
+              ~last:true;
+          chain succ
         end
         else begin
           code.(term_pc) <-
             compile_straight term_pc i
               ~next:(fun e -> e.cm.pc <- succ)
-              ~clen_next:0;
+              ~clen_next:0 ~last:true;
           clen.(term_pc) <- 1
         end);
     for pc = term_pc - 1 downto start do
       code.(pc) <-
         compile_straight pc instrs.(pc) ~next:code.(pc + 1)
-          ~clen_next:clen.(pc + 1);
+          ~clen_next:clen.(pc + 1) ~last:false;
       clen.(pc) <- 1 + clen.(pc + 1)
     done;
-    (* leader prologue: the block's events, then the straight body *)
+    (* leader prologue: deliver the segment a chain link left open,
+       open this block's, fire the block's events, then the straight
+       body *)
     let plain_start = code.(start) in
     code.(start) <-
       (fun e ->
         if e.c_hooked then begin
+          if e.c_collect then begin
+            if e.c_open then close_segment e;
+            open_segment e start term_pc
+          end;
           e.c_block b;
           e.c_block_exec b len;
           e.c_span start len
@@ -1338,14 +879,14 @@ let compile (prog : Program.t) : compiled =
         plain_start e);
     entry_code.(start) <- code.(start);
     entry_blocks.(start) <- blocks_from.(b);
-    (* mid-block resume entries: partial aggregates, no [on_block] —
-       matching [run_block] resuming inside a block *)
+    (* mid-block resume entries: partial aggregates, no [on_block] *)
     for pc = start + 1 to term_pc do
       let npart = term_pc + 1 - pc in
       let body = code.(pc) in
       entry_code.(pc) <-
         (fun e ->
           if e.c_hooked then begin
+            if e.c_collect then open_segment e pc term_pc;
             e.c_block_exec b npart;
             e.c_span pc npart
           end;
@@ -1392,6 +933,11 @@ let compiled_for (prog : Program.t) : compiled =
 
 let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
   let c = compiled_for prog in
+  let collect = Hooks.has_block_mems hooks in
+  (* at most two references per instruction (Movs: read then write) *)
+  let buffer () =
+    if collect then Array.make (2 * prog.max_block_len) 0 else [||]
+  in
   let e =
     {
       cm = m;
@@ -1403,7 +949,15 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       c_block_exec = hooks.Hooks.on_block_exec;
       c_span = hooks.Hooks.on_block_span;
       c_branch = hooks.Hooks.on_branch;
+      c_mems = hooks.Hooks.on_block_mems;
       c_hooked = not (Hooks.is_nil hooks);
+      c_collect = collect;
+      c_offs = buffer ();
+      c_addrs = buffer ();
+      c_nrefs = 0;
+      c_seg = 0;
+      c_seg_last = 0;
+      c_open = false;
       c_halted = false;
     }
   in
@@ -1422,6 +976,8 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       remaining := !remaining - len;
       blocks := !blocks + Array.unsafe_get entry_blocks pc;
       (Array.unsafe_get entry_code pc) e;
+      (* a chain exit leaves its last block's segment to the dispatcher *)
+      if e.c_open then close_segment e;
       if e.c_halted then begin
         status := Halted;
         running := false
@@ -1429,93 +985,55 @@ let run_compiled ~hooks ~syscall ~fuel (prog : Program.t) (m : machine) =
       else if !remaining <= 0 then running := false
     end
     else begin
-      (* Not enough fuel for the whole chain: the block-stepping tier
-         (or the plain tier when nothing is hooked) retires exactly
+      (* Not enough fuel for the whole chain: the reference engine (or
+         the plain tier when nothing is hooked) retires exactly
          [remaining] instructions from here, landing the fuel boundary
-         on the same instruction with identical partial-block events
-         and machine state. *)
+         on the same instruction with identical machine state. *)
       status :=
-        (if e.c_hooked then run_block ~hooks ~syscall ~fuel:!remaining prog m
+        (if e.c_hooked then run_reference ~hooks ~syscall ~fuel:!remaining prog m
          else run_plain ~syscall ~fuel:!remaining prog m);
       running := false
     end
   done;
-  (* [vm.blocks_stepped] counts only hooked runs, mirroring the other
-     tiers: nil-hook runs historically go through [run_plain] (which
-     never counts), and their fuel splits are an artefact of how a
-     caller fast-forwards to its snapshot points rather than of the
+  (* [vm.blocks_stepped] counts only hooked runs, as the reference
+     engine does: nil-hook fuel splits are an artefact of how a caller
+     fast-forwards to its snapshot points rather than of the
      instrumented work, so counting them would tie the metric to that
-     plumbing.  Hooked runs count exactly what [run_block] would for
-     the same fuel. *)
+     plumbing.  A fallback tail counts its own entries. *)
   if e.c_hooked then Sp_obs.Metrics.add M.blocks !blocks;
   !status
 [@@inline never]
 
-type engine = Auto | Reference | Block_step | Compiled
+type engine = Auto | Reference
 
-(* Engine tiers, fastest applicable wins under [Auto]:
-   - nil hooks                     -> [run_compiled]: one closure call
-     per instruction, chained per superblock, zero decode
-   - block-level only              -> [run_compiled] with the block
-     prologues firing the aggregates
-   - block-level + fused tool      -> [run_fused]: per-block dispatch,
-     data references delivered as one aggregate segment per block
-   - per-instr hooks               -> [run_hooked]: dispatch per retirement
-   - per-instr hooks + fused tool  -> [run_mixed]: [run_hooked] plus
-     single-instruction segment delivery
-   [engine] pins the run at (at most) a given tier for differential
-   testing: [Reference] forces the per-instruction family, [Block_step]
-   the block-stepping family.  A pin never changes what the hook set
-   can observe — sets needing per-instruction or fused delivery keep
-   their engine regardless.  All tiers retire identical instruction
-   streams and leave identical machine state for any fuel split. *)
+(* Engine tiers:
+   - [Auto], nil or block-level set ([Hooks.block_level]; any
+     [on_block_mems] consumer included) -> [run_compiled]: one closure
+     call per instruction, chained per superblock, zero decode, hook
+     aggregates and data-reference segments once per block
+   - otherwise, nil set                  -> [run_plain]: per-instruction
+     decode with zero closure calls
+   - otherwise                           -> [run_reference]: every hook
+     per retirement
+   [Reference] pins a run to the per-instruction engines for
+   differential testing.  Every tier retires the same instruction
+   stream and leaves identical machine state for any fuel split. *)
 let run ?(engine = Auto) ?(hooks = Hooks.nil) ?(syscall = default_syscall)
     ?(fuel = max_int) (prog : Program.t) (m : machine) =
   let icount0 = m.icount in
   let tlb0 = Memory.tlb_refills m.mem in
   let status =
-    if Hooks.is_nil hooks then begin
-      match engine with
-      | Auto | Compiled ->
-          Sp_obs.Metrics.incr M.runs_compiled;
-          run_compiled ~hooks:Hooks.nil ~syscall ~fuel prog m
-      | Block_step ->
-          Sp_obs.Metrics.incr M.runs_block;
-          run_block ~hooks:Hooks.nil ~syscall ~fuel prog m
-      | Reference ->
-          Sp_obs.Metrics.incr M.runs_plain;
-          run_plain ~syscall ~fuel prog m
+    if engine = Auto && Hooks.block_level hooks then begin
+      Sp_obs.Metrics.incr M.runs_compiled;
+      run_compiled ~hooks ~syscall ~fuel prog m
     end
-    else if Hooks.block_level hooks then begin
-      if Hooks.has_block_mems hooks then begin
-        match engine with
-        | Reference ->
-            Sp_obs.Metrics.incr M.runs_mixed;
-            run_mixed ~hooks ~syscall ~fuel prog m
-        | Auto | Block_step | Compiled ->
-            Sp_obs.Metrics.incr M.runs_fused;
-            run_fused ~hooks ~syscall ~fuel prog m
-      end
-      else begin
-        match engine with
-        | Auto | Compiled ->
-            Sp_obs.Metrics.incr M.runs_compiled;
-            run_compiled ~hooks ~syscall ~fuel prog m
-        | Block_step ->
-            Sp_obs.Metrics.incr M.runs_block;
-            run_block ~hooks ~syscall ~fuel prog m
-        | Reference ->
-            Sp_obs.Metrics.incr M.runs_hooked;
-            run_hooked ~hooks ~syscall ~fuel prog m
-      end
-    end
-    else if Hooks.has_block_mems hooks then begin
-      Sp_obs.Metrics.incr M.runs_mixed;
-      run_mixed ~hooks ~syscall ~fuel prog m
+    else if Hooks.is_nil hooks then begin
+      Sp_obs.Metrics.incr M.runs_plain;
+      run_plain ~syscall ~fuel prog m
     end
     else begin
       Sp_obs.Metrics.incr M.runs_hooked;
-      run_hooked ~hooks ~syscall ~fuel prog m
+      run_reference ~hooks ~syscall ~fuel prog m
     end
   in
   Sp_obs.Metrics.add M.instructions (m.icount - icount0);

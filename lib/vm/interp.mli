@@ -28,16 +28,12 @@ val default_syscall : int -> int
 
 type engine =
   | Auto
-      (** fastest tier the hook set admits: the compiled-block tier for
-          nil and plain block-level sets, the fused block-stepper when
-          an [on_block_mems] consumer is live, the per-instruction
-          engines when per-instruction hooks are. *)
+      (** the compiled-block tier for nil and block-level hook sets
+          ([on_block_mems] consumers included), the per-instruction
+          reference engine when a per-instruction hook is live. *)
   | Reference
-      (** pin to the per-instruction reference family — the engines the
-          differential suites compare everything else against. *)
-  | Block_step
-      (** pin to (at most) the block-stepping family. *)
-  | Compiled  (** explicit request for the compiled tier; same as [Auto]. *)
+      (** pin to the per-instruction engines — the reference the
+          conformance suite compares the compiled tier against. *)
 
 val run :
   ?engine:engine ->
@@ -49,13 +45,11 @@ val run :
   status
 (** Execute until [Halt] or until [fuel] instructions have retired.
 
-    [engine] (default [Auto]) caps which engine tier may run.  Pins
-    exist for differential testing and benchmarking; they never change
-    observable behaviour — every tier retires the same instruction
-    stream, fires equivalent hook events and leaves bit-identical
-    machine state for any fuel split — only how fast it happens.  A pin
-    is a ceiling, not a demand: a hook set that needs per-instruction
-    or fused delivery keeps the engine that can provide it.
+    [engine] (default [Auto]) picks the engine.  The pin exists for
+    differential testing and benchmarking; it never changes observable
+    behaviour — both engines retire the same instruction stream, fire
+    equivalent hook events and leave bit-identical machine state for
+    any fuel split — only how fast it happens.
 
     Semantics notes: integer division/remainder by zero yields 0 (the
     machine never traps); shift counts are masked to 6 bits; call-stack

@@ -30,11 +30,11 @@ type t = {
   is_leader : bool array;
   blocks : block array;
   (* exclusive end pc per block id: [block_end.(bb) = start_pc + len].
-     Kept as a flat array so the block-stepping interpreter finds the
-     straight-line extent of the current block with one load. *)
+     Kept as a flat array so a block-level tool finds the straight-line
+     extent of the current block with one load. *)
   block_end : int array;
   (* longest straight-line block body, in instructions — sizes the
-     reference buffers of the fused cache-simulation engine *)
+     compiled tier's per-run data-reference buffers *)
   max_block_len : int;
   entry : int;
   code_base : int;
@@ -61,6 +61,16 @@ let of_instrs ?(name = "anon") ?(entry = 0) ?(code_base = 0x40_0000) instrs =
   let n = Array.length instrs in
   if n = 0 then invalid_arg "Program.of_instrs: empty program";
   if entry < 0 || entry >= n then invalid_arg "Program.of_instrs: bad entry";
+  (match instrs.(n - 1) with
+  | Isa.Halt | Isa.Jump _ | Isa.Ret -> ()
+  | _ ->
+      (* every engine fetches [pc + 1] unchecked after a fallthrough, a
+         not-taken branch or a call's return *)
+      invalid_arg
+        (Printf.sprintf
+           "Program.of_instrs(%s): last instruction can fall off the end \
+            (end with halt, jump or ret)"
+           name));
   let leader = Array.make n false in
   leader.(0) <- true;
   leader.(entry) <- true;

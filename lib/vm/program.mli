@@ -40,19 +40,20 @@ type t = private {
   bb_of_pc : int array;     (** enclosing block id per pc *)
   is_leader : bool array;   (** true at each block's first pc *)
   blocks : block array;
-  block_end : int array;    (** exclusive end pc per block id, for the
-                                block-stepping interpreter *)
+  block_end : int array;    (** exclusive end pc per block id, for
+                                block-level tools *)
   max_block_len : int;      (** longest straight-line block body, in
-                                instructions — sizes the fused engine's
-                                reference buffers *)
+                                instructions — sizes the compiled tier's
+                                per-run data-reference buffers *)
   entry : int;
   code_base : int;          (** byte address of pc 0, for i-fetch addresses *)
 }
 
 val of_instrs : ?name:string -> ?entry:int -> ?code_base:int -> Isa.instr array -> t
 (** Builds the program and its block table.
-    @raise Invalid_argument if a static target is out of range or the
-    instruction array is empty. *)
+    @raise Invalid_argument if a static target is out of range, the
+    instruction array is empty, or its last instruction could fall off
+    the end (anything but [Halt], [Jump] or [Ret]). *)
 
 val num_blocks : t -> int
 

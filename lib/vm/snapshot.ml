@@ -53,7 +53,7 @@ let write buf t =
   Binio.w_i64 buf t.icount;
   Memory.write buf t.mem
 
-let read r =
+let read ~code_len r =
   let open Sp_util in
   let regs = Binio.r_int_array r in
   if Array.length regs <> Sp_isa.Isa.num_regs then
@@ -63,13 +63,21 @@ let read r =
   if Array.length fregs <> Sp_isa.Isa.num_fregs then
     Binio.fail "Snapshot: %d FP registers, expected %d" (Array.length fregs)
       Sp_isa.Isa.num_fregs;
+  (* the engines fetch [pc] and every return address unchecked *)
   let pc = Binio.r_i64 r in
-  if pc < 0 then Binio.fail "Snapshot: negative pc %d" pc;
+  if pc < 0 || pc >= code_len then
+    Binio.fail "Snapshot: pc %d outside the %d-instruction program" pc code_len;
   let callstack = Binio.r_int_array r in
   let sp = Binio.r_i64 r in
   if sp < 0 || sp > Array.length callstack then
     Binio.fail "Snapshot: sp %d outside the %d-slot call stack" sp
       (Array.length callstack);
+  for i = 0 to sp - 1 do
+    let ret = callstack.(i) in
+    if ret < 0 || ret >= code_len then
+      Binio.fail "Snapshot: return address %d outside the %d-instruction program"
+        ret code_len
+  done;
   let icount = Binio.r_i64 r in
   if icount < 0 then Binio.fail "Snapshot: negative icount %d" icount;
   let mem = Memory.read r in

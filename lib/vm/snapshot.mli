@@ -35,7 +35,9 @@ val mem_bytes : t -> int
 val write : Buffer.t -> t -> unit
 (** Deterministic encoding of the full architectural state. *)
 
-val read : Sp_util.Binio.reader -> t
+val read : code_len:int -> Sp_util.Binio.reader -> t
 (** Decode a snapshot written by {!write}, validating register-file
-    sizes, the stack pointer and the memory image.
+    sizes, the stack pointer, the memory image, and that the pc and
+    every live return address lie in a program of [code_len]
+    instructions.
     @raise Sp_util.Binio.Corrupt on malformed input. *)

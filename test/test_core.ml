@@ -367,22 +367,27 @@ let test_profile_cache_reuse () =
   Sys.rmdir dir
 
 (* Every instrumented pipeline stage — log+profile, cold and warm
-   replay, the native sample — uses block-level tools only, so no run
-   may fall back to the per-instruction mixed engine *)
-let test_pipeline_stays_fused () =
+   replay, the native sample — uses block-level tools only, so every
+   run stays on the compiled tier: none may fall back to the
+   per-instruction reference engine or the plain decode loop *)
+let test_pipeline_stays_compiled () =
   let counter name =
     Option.value ~default:0.0
       (Sp_obs.Metrics.counter_value (Sp_obs.Metrics.snapshot ()) name)
   in
-  let mixed0 = counter "vm.runs.mixed" and fused0 = counter "vm.runs.fused" in
+  let hooked0 = counter "vm.runs.hooked"
+  and plain0 = counter "vm.runs.plain"
+  and compiled0 = counter "vm.runs.compiled" in
   ignore
     (Pipeline.run_benchmark
        ~options:{ tiny_options with collect_variance = false; jobs = 1 }
        (Sp_workloads.Suite.find "648.exchange2_s"));
-  Alcotest.(check (float 0.0)) "no mixed-engine runs" 0.0
-    (counter "vm.runs.mixed" -. mixed0);
-  Alcotest.(check bool) "fused-engine runs" true
-    (counter "vm.runs.fused" -. fused0 > 0.0)
+  Alcotest.(check (float 0.0)) "no reference-engine runs" 0.0
+    (counter "vm.runs.hooked" -. hooked0);
+  Alcotest.(check (float 0.0)) "no plain-tier runs" 0.0
+    (counter "vm.runs.plain" -. plain0);
+  Alcotest.(check bool) "compiled-tier runs" true
+    (counter "vm.runs.compiled" -. compiled0 > 0.0)
 
 let suite =
   [
@@ -401,6 +406,6 @@ let suite =
     Alcotest.test_case "pipeline deterministic" `Quick test_pipeline_deterministic;
     Alcotest.test_case "pinball cache reuse" `Quick test_pinball_cache_reuse;
     Alcotest.test_case "profile cache reuse" `Quick test_profile_cache_reuse;
-    Alcotest.test_case "pipeline stays on the fused tier" `Quick
-      test_pipeline_stays_fused;
+    Alcotest.test_case "pipeline stays on the compiled tier" `Quick
+      test_pipeline_stays_compiled;
   ]

@@ -246,7 +246,12 @@ let test_progtext_errors () =
   | Ok _ -> Alcotest.fail "expected error");
   (match Sp_vm.Progtext.parse "jmp @5\nhalt" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected out-of-range error")
+  | Ok _ -> Alcotest.fail "expected out-of-range error");
+  match Sp_vm.Progtext.parse "li r1, 5" with
+  | Error e ->
+      Alcotest.(check bool) "names the fall-off" true
+        (Astring_contains.contains e "fall off the end")
+  | Ok _ -> Alcotest.fail "expected a program without a final halt to fail"
 
 let test_progtext_comments () =
   match Sp_vm.Progtext.parse "  li r1, 2 # two\n# note\n\nhalt" with

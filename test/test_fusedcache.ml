@@ -1,23 +1,17 @@
-(* Differential tests for the fused block-level cache tier and the
-   bounds-pruned k-means.
+(* Differential tests for the segment-consuming (fused) tools: the
+   cache model, the timing core and the ld/st mix.
 
    The fused allcache hook set ([Allcache_tool.hooks]) consumes
    [on_block_mems] segments and applies same-line / same-page repeat
    filters; the per-instruction reference ([Core_reference.Allcache])
    walks the hierarchy once per event.  Random memory-heavy programs are
-   executed under both (and under the mixed engine, where a live
-   per-instruction callback forces single-instruction segments); every
-   cache level's
-   statistics, both TLBs, prefetch and write-back counters and the
-   retired instruction count must be bit-identical — across
-   replacement policies, with and without the next-line prefetcher,
-   across fuel-split boundaries landing mid-block, and across a
-   warming prefix.
-
-   The k-means half ports the original unpruned implementation
-   (nested-array Lloyd iterations, linear-scan seeding draw) and
-   requires [Kmeans.fit]'s pruned search to reproduce its assignment,
-   sizes, centroids and distortion to the last bit. *)
+   executed under both — the fused tool on the compiled tier (one
+   segment per block) and pinned to the reference engine
+   (single-instruction segments); every cache level's statistics, both
+   TLBs, prefetch and write-back counters and the retired instruction
+   count must be bit-identical — across replacement policies, with and
+   without the next-line prefetcher, across fuel-split boundaries
+   landing mid-block, and across a warming prefix. *)
 
 open Sp_isa
 open Sp_vm
@@ -94,7 +88,10 @@ let mem_prog_gen =
    prefix and fuel-chunked resumption; everything observable about the
    cache simulation comes back in one comparable record *)
 
-type tier = Fused | Per_instr | Mixed
+(* the fused tool fed one segment per block ([Fused], on the compiled
+   tier) or one per instruction ([Fused_single], on the reference
+   engine), and the per-instruction reference tool *)
+type tier = Fused | Fused_single | Per_instr
 
 type observed = {
   o_hier : Hierarchy.stats;
@@ -142,15 +139,11 @@ let drive ?engine ?(on_chunk = ignore) ~hooks ~set_warming ~warm ~chunk p =
   done;
   (m.Interp.icount, !outcome)
 
-(* a live on_instr keeps a set off the block tier, forcing
-   single-instruction segment delivery of on_block_mems *)
-let with_dummy_instr hooks =
-  Hooks.seq hooks { Hooks.nil with Hooks.on_instr = (fun _ _ -> ()) }
-
 let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
   let p = Program.of_instrs instrs in
+  let engine = if tier = Fused_single then Interp.Reference else Interp.Auto in
   let observe ~hooks ~set_warming hier itlb dtlb =
-    let icount, outcome = drive ~hooks ~set_warming ~warm ~chunk p in
+    let icount, outcome = drive ~engine ~hooks ~set_warming ~warm ~chunk p in
     {
       o_hier = Hierarchy.stats hier;
       o_itlb = itlb ();
@@ -169,11 +162,9 @@ let run_tier tier ~policy ~prefetch ~warm ~chunk instrs =
         (Core_reference.Allcache.hierarchy r)
         (fun () -> Core_reference.Allcache.itlb_stats r)
         (fun () -> Core_reference.Allcache.dtlb_stats r)
-  | Fused | Mixed ->
+  | Fused | Fused_single ->
       let tool = Allcache_tool.create ~policy ~prefetch p in
-      let hooks = Allcache_tool.hooks tool in
-      observe
-        ~hooks:(if tier = Mixed then with_dummy_instr hooks else hooks)
+      observe ~hooks:(Allcache_tool.hooks tool)
         ~set_warming:(Allcache_tool.set_warming tool)
         (Allcache_tool.hierarchy tool)
         (fun () -> Allcache_tool.itlb_stats tool)
@@ -202,7 +193,7 @@ let prop_fused_matches_per_instr =
     (fun (instrs, (policy, prefetch, warm), chunk) ->
       let f = run_tier Fused ~policy ~prefetch ~warm ~chunk instrs in
       let i = run_tier Per_instr ~policy ~prefetch ~warm ~chunk instrs in
-      let x = run_tier Mixed ~policy ~prefetch ~warm ~chunk instrs in
+      let x = run_tier Fused_single ~policy ~prefetch ~warm ~chunk instrs in
       f = i && f = x)
 
 (* ------------------------------------------------------------------ *)
@@ -225,7 +216,7 @@ let test_straightline_counts () =
       Alcotest.(check int) "itlb accesses" 41 o.o_itlb.Tlb.accesses;
       Alcotest.(check int) "itlb walks" 1 o.o_itlb.Tlb.walks;
       Alcotest.(check int) "l1d accesses" 0 o.o_hier.Hierarchy.l1d.accesses)
-    [ Fused; Per_instr; Mixed ]
+    [ Fused; Per_instr; Fused_single ]
 
 let test_same_line_loads () =
   (* r0 = 0; five loads of address 0: one L1D line, one data page *)
@@ -244,7 +235,7 @@ let test_same_line_loads () =
       Alcotest.(check int) "l1d misses" 1 o.o_hier.Hierarchy.l1d.misses;
       Alcotest.(check int) "dtlb accesses" 5 o.o_dtlb.Tlb.accesses;
       Alcotest.(check int) "dtlb walks" 1 o.o_dtlb.Tlb.walks)
-    [ Fused; Per_instr; Mixed ]
+    [ Fused; Per_instr; Fused_single ]
 
 (* ------------------------------------------------------------------ *)
 (* The report-level counters ride on Hierarchy.observe_stats; folding
@@ -289,11 +280,9 @@ let test_report_counters_identical () =
 (* The timing core and the ld/st mix on the same programs: the
    segment-consuming [Interval_core] and [Ldstmix] must reproduce the
    per-instruction references exactly — float stats to the bit — on
-   the fused tier, pinned to the reference engine family, and on the
-   mixed engine (single-instruction segments), across fuel chunks and a
-   warming prefix *)
-
-type engine_setting = Auto_fused | Reference_pinned | Mixed_dummy
+   the compiled tier and pinned to the reference engine
+   (single-instruction segments), across fuel chunks and a warming
+   prefix *)
 
 let stats_bits (s : Sp_cpu.Interval_core.stats) =
   let b = Int64.bits_of_float in
@@ -326,17 +315,11 @@ let run_core_reference ~rob ~warm ~chunk p =
     icount,
     outcome )
 
-let run_core setting ~rob ~warm ~chunk p =
+let run_core engine ~rob ~warm ~chunk p =
   let core = Sp_cpu.Interval_core.create ~config:(core_config rob) p in
   let mix = Ldstmix.create () in
   let hooks =
     Hooks.seq (Sp_cpu.Interval_core.hooks core) (Ldstmix.hooks mix)
-  in
-  let engine, hooks =
-    match setting with
-    | Auto_fused -> (Interp.Auto, hooks)
-    | Reference_pinned -> (Interp.Reference, hooks)
-    | Mixed_dummy -> (Interp.Auto, with_dummy_instr hooks)
   in
   let icount, outcome =
     drive ~engine ~hooks ~set_warming:(Sp_cpu.Interval_core.set_warming core)
@@ -363,8 +346,8 @@ let prop_core_matches_reference =
       let p = Program.of_instrs instrs in
       let expected = run_core_reference ~rob ~warm ~chunk p in
       List.for_all
-        (fun setting -> run_core setting ~rob ~warm ~chunk p = expected)
-        [ Auto_fused; Reference_pinned; Mixed_dummy ])
+        (fun engine -> run_core engine ~rob ~warm ~chunk p = expected)
+        [ Interp.Auto; Interp.Reference ])
 
 (* Slice_timer: every slice's cycles are the reference core's cycle
    delta between the same fuel boundaries, with the timer's own run
@@ -429,241 +412,6 @@ let prop_slice_timer_matches_reference =
       reference_slice_cpis ~rob ~warm ~slice_len p
       = timer_slice_cpis ~rob ~warm ~slice_len p)
 
-(* ------------------------------------------------------------------ *)
-(* Pruned k-means vs the original unpruned implementation.  This is a
-   line-for-line port of the nested-array algorithm the library shipped
-   before the flat/pruned rewrite: exhaustive nearest-centroid scans,
-   linear accumulate-and-compare seeding draw.  [Kmeans.fit] must
-   reproduce it exactly. *)
-
-let sqd a b =
-  let d = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    let x = Array.unsafe_get a i -. Array.unsafe_get b i in
-    d := !d +. (x *. x)
-  done;
-  !d
-
-let naive_nearest centroids p =
-  let best = ref 0 and best_d = ref infinity in
-  Array.iteri
-    (fun j c ->
-      let d = sqd p c in
-      if d < !best_d then begin
-        best_d := d;
-        best := j
-      end)
-    centroids;
-  (!best, !best_d)
-
-let naive_seed rng k points =
-  let n = Array.length points in
-  let centroids = Array.make k points.(0) in
-  centroids.(0) <- points.(Sp_util.Rng.int rng n);
-  let total = ref 0.0 in
-  let d2 =
-    Array.map
-      (fun p ->
-        let d = sqd p centroids.(0) in
-        total := !total +. d;
-        d)
-      points
-  in
-  for j = 1 to k - 1 do
-    let mass = Float.max 0.0 !total in
-    let chosen =
-      if mass <= 0.0 then Sp_util.Rng.int rng n
-      else begin
-        let target = Sp_util.Rng.float rng mass in
-        let acc = ref 0.0 and pick = ref (n - 1) in
-        (try
-           for i = 0 to n - 1 do
-             acc := !acc +. d2.(i);
-             if !acc >= target then begin
-               pick := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !pick
-      end
-    in
-    centroids.(j) <- points.(chosen);
-    for i = 0 to n - 1 do
-      let d = sqd points.(i) centroids.(j) in
-      if d < d2.(i) then begin
-        total := !total -. (d2.(i) -. d);
-        d2.(i) <- d
-      end
-    done
-  done;
-  Array.map Array.copy centroids
-
-let naive_fit ~max_iters ~seed ~k points =
-  let n = Array.length points in
-  let k = min k n in
-  let dim = Array.length points.(0) in
-  let rng = Sp_util.Rng.create seed in
-  let centroids = naive_seed rng k points in
-  let assignment = Array.make n (-1) in
-  let sizes = Array.make k 0 in
-  let sums = Array.init k (fun _ -> Array.make dim 0.0) in
-  let distortion = ref 0.0 in
-  let changed = ref true in
-  let iters = ref 0 in
-  let best_j = Array.make n 0 in
-  let best_d = Array.make n 0.0 in
-  let search () =
-    for i = 0 to n - 1 do
-      let j, d = naive_nearest centroids points.(i) in
-      best_j.(i) <- j;
-      best_d.(i) <- d
-    done
-  in
-  while !changed && !iters < max_iters do
-    changed := false;
-    incr iters;
-    distortion := 0.0;
-    Array.fill sizes 0 k 0;
-    Array.iter (fun s -> Array.fill s 0 dim 0.0) sums;
-    search ();
-    for i = 0 to n - 1 do
-      let j = best_j.(i) in
-      if assignment.(i) <> j then begin
-        assignment.(i) <- j;
-        changed := true
-      end;
-      distortion := !distortion +. best_d.(i);
-      sizes.(j) <- sizes.(j) + 1;
-      let s = sums.(j) and p = points.(i) in
-      for x = 0 to dim - 1 do
-        s.(x) <- s.(x) +. p.(x)
-      done
-    done;
-    for j = 0 to k - 1 do
-      if sizes.(j) = 0 then begin
-        let far = ref 0 and far_d = ref neg_infinity in
-        for i = 0 to n - 1 do
-          if best_d.(i) > !far_d then begin
-            far_d := best_d.(i);
-            far := i
-          end
-        done;
-        centroids.(j) <- Array.copy points.(!far);
-        changed := true
-      end
-      else begin
-        let s = sums.(j) and inv = 1.0 /. float_of_int sizes.(j) in
-        centroids.(j) <- Array.map (fun x -> x *. inv) s
-      end
-    done
-  done;
-  Array.fill sizes 0 k 0;
-  distortion := 0.0;
-  search ();
-  for i = 0 to n - 1 do
-    let j = best_j.(i) in
-    assignment.(i) <- j;
-    sizes.(j) <- sizes.(j) + 1;
-    distortion := !distortion +. best_d.(i)
-  done;
-  (assignment, Array.copy sizes, centroids, !distortion)
-
-let bits = Int64.bits_of_float
-
-let results_equal (a0, s0, c0, d0) (r : Sp_simpoint.Kmeans.result) =
-  a0 = r.Sp_simpoint.Kmeans.assignment
-  && s0 = r.Sp_simpoint.Kmeans.sizes
-  && bits d0 = bits r.Sp_simpoint.Kmeans.distortion
-  && Array.length c0 = Array.length r.Sp_simpoint.Kmeans.centroids
-  && Array.for_all2
-       (fun x y -> Array.for_all2 (fun a b -> bits a = bits b) x y)
-       c0 r.Sp_simpoint.Kmeans.centroids
-
-(* coordinates from a tiny pool force duplicate points and exact
-   distance ties — the regime where a sloppy pruning bound or a
-   scan-order change would flip the argmin *)
-let points_gen =
-  QCheck.Gen.(
-    pair (int_range 1 50) (int_range 1 8) >>= fun (n, dim) ->
-    let coord =
-      oneof
-        [
-          float_bound_inclusive 1.0;
-          oneofl [ 0.0; 0.25; 0.5; 1.0 ];
-        ]
-    in
-    array_repeat n (array_repeat dim coord))
-
-let kmeans_case_print (points, k, max_iters, seed) =
-  Printf.sprintf "n=%d dim=%d k=%d iters=%d seed=%d" (Array.length points)
-    (Array.length points.(0))
-    k max_iters seed
-
-let prop_kmeans_matches_naive =
-  QCheck.Test.make ~name:"pruned k-means bit-identical to unpruned fit"
-    ~count:150
-    (QCheck.make ~print:kmeans_case_print
-       QCheck.Gen.(
-         quad points_gen (int_range 1 14) (oneofl [ 1; 3; 8 ])
-           (int_range 0 5)))
-    (fun (points, k, max_iters, seed) ->
-      let expected = naive_fit ~max_iters ~seed ~k points in
-      let got1 = Sp_simpoint.Kmeans.fit ~max_iters ~seed ~jobs:1 ~k points in
-      let got3 = Sp_simpoint.Kmeans.fit ~max_iters ~seed ~jobs:3 ~k points in
-      results_equal expected got1 && results_equal expected got3)
-
-let test_kmeans_k_exceeds_n () =
-  (* k clamps to n; every point becomes its own centroid *)
-  let points = [| [| 0.0; 1.0 |]; [| 2.0; 3.0 |]; [| 4.0; 5.0 |] |] in
-  let expected = naive_fit ~max_iters:5 ~seed:1 ~k:9 points in
-  let got = Sp_simpoint.Kmeans.fit ~max_iters:5 ~seed:1 ~k:9 points in
-  Alcotest.(check bool) "k>n identical" true (results_equal expected got);
-  Alcotest.(check int) "k clamped" 3 got.Sp_simpoint.Kmeans.k
-
-let test_kmeans_identical_points () =
-  (* all-duplicate input: seeding mass collapses to zero, every
-     distance ties at 0 *)
-  let points = Array.make 12 [| 0.5; 0.5; 0.5 |] in
-  let expected = naive_fit ~max_iters:4 ~seed:3 ~k:4 points in
-  let got = Sp_simpoint.Kmeans.fit ~max_iters:4 ~seed:3 ~k:4 points in
-  Alcotest.(check bool) "duplicates identical" true (results_equal expected got)
-
-(* ------------------------------------------------------------------ *)
-(* Seeding draw: binary-searched prefix pick vs the linear scan *)
-
-let prop_weighted_pick =
-  QCheck.Test.make ~name:"weighted_pick matches linear scan" ~count:300
-    (QCheck.make
-       ~print:(fun (ws, t) ->
-         Printf.sprintf "n=%d target=%f" (Array.length ws) t)
-       QCheck.Gen.(
-         pair
-           (array_size (1 -- 40) (float_bound_inclusive 10.0))
-           (float_bound_inclusive 1.2)))
-    (fun (weights, tfrac) ->
-      let n = Array.length weights in
-      let prefix = Array.make n 0.0 in
-      let acc = ref 0.0 in
-      for i = 0 to n - 1 do
-        acc := !acc +. weights.(i);
-        prefix.(i) <- !acc
-      done;
-      let target = tfrac *. !acc in
-      let linear =
-        let pick = ref (n - 1) in
-        (try
-           for i = 0 to n - 1 do
-             if prefix.(i) >= target then begin
-               pick := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !pick
-      in
-      Sp_simpoint.Kmeans.weighted_pick prefix target = linear)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fused_matches_per_instr;
@@ -674,8 +422,4 @@ let suite =
       test_report_counters_identical;
     QCheck_alcotest.to_alcotest prop_core_matches_reference;
     QCheck_alcotest.to_alcotest prop_slice_timer_matches_reference;
-    QCheck_alcotest.to_alcotest prop_kmeans_matches_naive;
-    Alcotest.test_case "k exceeds n" `Quick test_kmeans_k_exceeds_n;
-    Alcotest.test_case "identical points" `Quick test_kmeans_identical_points;
-    QCheck_alcotest.to_alcotest prop_weighted_pick;
   ]

@@ -14,8 +14,9 @@ let () =
       ("core", Test_core.suite);
       ("extensions", Test_extensions.suite);
       ("properties", Test_properties.suite);
-      ("blockstep", Test_blockstep.suite);
-      ("compiled", Test_compiled.suite);
+      ("engines", Test_conformance.suite);
+      ("blockstep", Test_conformance.blockstep_suite);
+      ("compiled", Test_conformance.compiled_suite);
       ("fusedcache", Test_fusedcache.suite);
       ("models", Test_models.suite);
       ("misc", Test_misc.suite);

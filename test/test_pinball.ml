@@ -485,6 +485,80 @@ let test_describe () =
   Alcotest.(check string) "whole" "b.whole"
     (Pinball.describe whole.Logger.pinball)
 
+(* ------------------------------------------------------------------ *)
+(* Checksummed but malformed pinballs: a program that runs off its end,
+   a snapshot pc or a live return address outside the program.  The
+   engines fetch [pc] unchecked, so each must be rejected as [Corrupt]
+   at decode time — before anything executes *)
+
+let crafted_pinball ?(pc = 0) ?(ret = None) instrs =
+  let program = Program.of_instrs ~name:"crafted" instrs in
+  let m = Interp.create ~entry:pc () in
+  Option.iter
+    (fun r ->
+      m.Interp.callstack.(0) <- r;
+      m.Interp.sp <- 1)
+    ret;
+  {
+    Pinball.benchmark = "crafted";
+    kind = Pinball.Whole;
+    program;
+    snapshot = Snapshot.capture m;
+    length = None;
+    syscalls = [||];
+  }
+
+(* re-frame an encoded pinball around a different PROG payload, with a
+   valid checksum *)
+let with_prog_payload data payload =
+  let header = 19 in
+  let out = Buffer.create (String.length data) in
+  Buffer.add_string out (String.sub data 0 header);
+  let pos = ref header in
+  for _ = 1 to 4 do
+    let tag = String.sub data !pos 4 in
+    let len = Int32.to_int (String.get_int32_le data (!pos + 4)) in
+    let body =
+      if tag = "PROG" then payload else String.sub data (!pos + 8) len
+    in
+    Buffer.add_string out tag;
+    Buffer.add_int32_le out (Int32.of_int (String.length body));
+    Buffer.add_string out body;
+    Buffer.add_int32_le out (Int32.of_int (Sp_util.Crc32.string body));
+    pos := !pos + 8 + len + 4
+  done;
+  Buffer.contents out
+
+let test_store_rejects_unrunnable () =
+  let expect_corrupt what data =
+    match Store.of_bytes data with
+    | Error (Store.Corrupt _) -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Store.error_message e)
+    | Ok _ -> Alcotest.failf "%s: decoded successfully" what
+  in
+  let ok = crafted_pinball [| Isa.Li (1, 5); Isa.Halt |] in
+  Alcotest.(check bool) "baseline decodes" true
+    (Result.is_ok (Store.of_bytes (Store.encode ok)));
+  (* [li r1, 5; li r2, 6]: falls off its end *)
+  let prog = Buffer.create 64 in
+  Sp_util.Binio.w_string prog "crafted";
+  Sp_util.Binio.w_i64 prog 0;
+  Sp_util.Binio.w_i64 prog ok.Pinball.program.Program.code_base;
+  Sp_util.Binio.w_u32 prog 2;
+  List.iter
+    (fun (rd, imm) ->
+      Sp_util.Binio.w_u8 prog 2;
+      Sp_util.Binio.w_u8 prog rd;
+      Sp_util.Binio.w_i64 prog imm)
+    [ (1, 5); (2, 6) ];
+  expect_corrupt "program without a final halt"
+    (with_prog_payload (Store.encode ok) (Buffer.contents prog));
+  expect_corrupt "snapshot pc 1000"
+    (Store.encode (crafted_pinball ~pc:1000 [| Isa.Halt |]));
+  expect_corrupt "return address 1000"
+    (Store.encode
+       (crafted_pinball ~ret:(Some 1000) [| Isa.Ret; Isa.Halt |]))
+
 let suite =
   [
     Alcotest.test_case "log whole" `Quick test_log_whole;
@@ -500,6 +574,8 @@ let suite =
     Alcotest.test_case "store region roundtrip" `Quick test_store_region_roundtrip;
     Alcotest.test_case "store typed errors" `Quick test_store_errors;
     Alcotest.test_case "store fuzz whole (exhaustive)" `Quick test_store_fuzz_whole;
+    Alcotest.test_case "store rejects unrunnable pinballs" `Quick
+      test_store_rejects_unrunnable;
     Alcotest.test_case "store fuzz region (boundaries)" `Quick test_store_fuzz_region;
     Alcotest.test_case "store concurrent save" `Quick test_store_concurrent_save;
     Alcotest.test_case "artifact cache" `Quick test_artifact_cache;

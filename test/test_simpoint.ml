@@ -460,6 +460,295 @@ let test_rss_diagnostics () =
         Alcotest.failf "missing %s diagnostic" key)
     [ "set_size"; "repeats"; "aux_mean"; "aux_draw_var"; "aux_draw_se" ]
 
+(* ------------------------------------------------------------------ *)
+(* Projection: the row-memoised implementation must be bit-identical to
+   the direct per-entry hashing it replaced *)
+
+let naive_project ~dim ~seed (slices : Sp_pin.Bbv_tool.slice array) =
+  Array.map
+    (fun (s : Sp_pin.Bbv_tool.slice) ->
+      let v = Array.make dim 0.0 in
+      let total = float_of_int s.Sp_pin.Bbv_tool.length in
+      if total > 0.0 then
+        Array.iter
+          (fun (block, count) ->
+            let w = float_of_int count /. total in
+            for d = 0 to dim - 1 do
+              v.(d) <-
+                v.(d)
+                +. (w *. Sp_simpoint.Projection.matrix_entry ~seed ~block ~dim:d)
+            done)
+          s.Sp_pin.Bbv_tool.bbv;
+      v)
+    slices
+
+let slices_gen =
+  QCheck.Gen.(
+    list_size (1 -- 20)
+      (list_size (0 -- 12) (pair (int_range 0 500) (int_range 1 20)))
+    >|= fun slices ->
+    Array.of_list
+      (List.mapi
+         (fun i bbv ->
+           let bbv =
+             (* distinct blocks, sorted, as Bbv_tool emits *)
+             List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) bbv
+           in
+           let length = List.fold_left (fun acc (_, c) -> acc + c) 0 bbv in
+           {
+             Sp_pin.Bbv_tool.index = i;
+             start_icount = i * 100;
+             length;
+             bbv = Array.of_list bbv;
+           })
+         slices))
+
+let prop_projection_bit_identical =
+  QCheck.Test.make ~name:"memoised projection is bit-identical" ~count:200
+    (QCheck.make QCheck.Gen.(pair slices_gen (pair (int_range 1 9) (1 -- 6))))
+    (fun (slices, (seed, dim)) ->
+      let fast = Sp_simpoint.Projection.project ~dim ~seed slices in
+      let slow = naive_project ~dim ~seed slices in
+      Array.for_all2
+        (Array.for_all2 (fun a b ->
+             Int64.bits_of_float a = Int64.bits_of_float b))
+        fast slow)
+
+(* ------------------------------------------------------------------ *)
+(* Pruned k-means vs the original unpruned implementation.  This is a
+   line-for-line port of the nested-array algorithm the library shipped
+   before the flat/pruned rewrite: exhaustive nearest-centroid scans,
+   linear accumulate-and-compare seeding draw.  [Kmeans.fit] must
+   reproduce it exactly. *)
+
+let sqd a b =
+  let d = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    let x = Array.unsafe_get a i -. Array.unsafe_get b i in
+    d := !d +. (x *. x)
+  done;
+  !d
+
+let naive_nearest centroids p =
+  let best = ref 0 and best_d = ref infinity in
+  Array.iteri
+    (fun j c ->
+      let d = sqd p c in
+      if d < !best_d then begin
+        best_d := d;
+        best := j
+      end)
+    centroids;
+  (!best, !best_d)
+
+let naive_seed rng k points =
+  let n = Array.length points in
+  let centroids = Array.make k points.(0) in
+  centroids.(0) <- points.(Sp_util.Rng.int rng n);
+  let total = ref 0.0 in
+  let d2 =
+    Array.map
+      (fun p ->
+        let d = sqd p centroids.(0) in
+        total := !total +. d;
+        d)
+      points
+  in
+  for j = 1 to k - 1 do
+    let mass = Float.max 0.0 !total in
+    let chosen =
+      if mass <= 0.0 then Sp_util.Rng.int rng n
+      else begin
+        let target = Sp_util.Rng.float rng mass in
+        let acc = ref 0.0 and pick = ref (n - 1) in
+        (try
+           for i = 0 to n - 1 do
+             acc := !acc +. d2.(i);
+             if !acc >= target then begin
+               pick := i;
+               raise Exit
+             end
+           done
+         with Exit -> ());
+        !pick
+      end
+    in
+    centroids.(j) <- points.(chosen);
+    for i = 0 to n - 1 do
+      let d = sqd points.(i) centroids.(j) in
+      if d < d2.(i) then begin
+        total := !total -. (d2.(i) -. d);
+        d2.(i) <- d
+      end
+    done
+  done;
+  Array.map Array.copy centroids
+
+let naive_fit ~max_iters ~seed ~k points =
+  let n = Array.length points in
+  let k = min k n in
+  let dim = Array.length points.(0) in
+  let rng = Sp_util.Rng.create seed in
+  let centroids = naive_seed rng k points in
+  let assignment = Array.make n (-1) in
+  let sizes = Array.make k 0 in
+  let sums = Array.init k (fun _ -> Array.make dim 0.0) in
+  let distortion = ref 0.0 in
+  let changed = ref true in
+  let iters = ref 0 in
+  let best_j = Array.make n 0 in
+  let best_d = Array.make n 0.0 in
+  let search () =
+    for i = 0 to n - 1 do
+      let j, d = naive_nearest centroids points.(i) in
+      best_j.(i) <- j;
+      best_d.(i) <- d
+    done
+  in
+  while !changed && !iters < max_iters do
+    changed := false;
+    incr iters;
+    distortion := 0.0;
+    Array.fill sizes 0 k 0;
+    Array.iter (fun s -> Array.fill s 0 dim 0.0) sums;
+    search ();
+    for i = 0 to n - 1 do
+      let j = best_j.(i) in
+      if assignment.(i) <> j then begin
+        assignment.(i) <- j;
+        changed := true
+      end;
+      distortion := !distortion +. best_d.(i);
+      sizes.(j) <- sizes.(j) + 1;
+      let s = sums.(j) and p = points.(i) in
+      for x = 0 to dim - 1 do
+        s.(x) <- s.(x) +. p.(x)
+      done
+    done;
+    for j = 0 to k - 1 do
+      if sizes.(j) = 0 then begin
+        let far = ref 0 and far_d = ref neg_infinity in
+        for i = 0 to n - 1 do
+          if best_d.(i) > !far_d then begin
+            far_d := best_d.(i);
+            far := i
+          end
+        done;
+        centroids.(j) <- Array.copy points.(!far);
+        changed := true
+      end
+      else begin
+        let s = sums.(j) and inv = 1.0 /. float_of_int sizes.(j) in
+        centroids.(j) <- Array.map (fun x -> x *. inv) s
+      end
+    done
+  done;
+  Array.fill sizes 0 k 0;
+  distortion := 0.0;
+  search ();
+  for i = 0 to n - 1 do
+    let j = best_j.(i) in
+    assignment.(i) <- j;
+    sizes.(j) <- sizes.(j) + 1;
+    distortion := !distortion +. best_d.(i)
+  done;
+  (assignment, Array.copy sizes, centroids, !distortion)
+
+let bits = Int64.bits_of_float
+
+let results_equal (a0, s0, c0, d0) (r : Sp_simpoint.Kmeans.result) =
+  a0 = r.Sp_simpoint.Kmeans.assignment
+  && s0 = r.Sp_simpoint.Kmeans.sizes
+  && bits d0 = bits r.Sp_simpoint.Kmeans.distortion
+  && Array.length c0 = Array.length r.Sp_simpoint.Kmeans.centroids
+  && Array.for_all2
+       (fun x y -> Array.for_all2 (fun a b -> bits a = bits b) x y)
+       c0 r.Sp_simpoint.Kmeans.centroids
+
+(* coordinates from a tiny pool force duplicate points and exact
+   distance ties — the regime where a sloppy pruning bound or a
+   scan-order change would flip the argmin *)
+let points_gen =
+  QCheck.Gen.(
+    pair (int_range 1 50) (int_range 1 8) >>= fun (n, dim) ->
+    let coord =
+      oneof
+        [
+          float_bound_inclusive 1.0;
+          oneofl [ 0.0; 0.25; 0.5; 1.0 ];
+        ]
+    in
+    array_repeat n (array_repeat dim coord))
+
+let kmeans_case_print (points, k, max_iters, seed) =
+  Printf.sprintf "n=%d dim=%d k=%d iters=%d seed=%d" (Array.length points)
+    (Array.length points.(0))
+    k max_iters seed
+
+let prop_kmeans_matches_naive =
+  QCheck.Test.make ~name:"pruned k-means bit-identical to unpruned fit"
+    ~count:150
+    (QCheck.make ~print:kmeans_case_print
+       QCheck.Gen.(
+         quad points_gen (int_range 1 14) (oneofl [ 1; 3; 8 ])
+           (int_range 0 5)))
+    (fun (points, k, max_iters, seed) ->
+      let expected = naive_fit ~max_iters ~seed ~k points in
+      let got1 = Sp_simpoint.Kmeans.fit ~max_iters ~seed ~jobs:1 ~k points in
+      let got3 = Sp_simpoint.Kmeans.fit ~max_iters ~seed ~jobs:3 ~k points in
+      results_equal expected got1 && results_equal expected got3)
+
+let test_kmeans_k_exceeds_n () =
+  (* k clamps to n; every point becomes its own centroid *)
+  let points = [| [| 0.0; 1.0 |]; [| 2.0; 3.0 |]; [| 4.0; 5.0 |] |] in
+  let expected = naive_fit ~max_iters:5 ~seed:1 ~k:9 points in
+  let got = Sp_simpoint.Kmeans.fit ~max_iters:5 ~seed:1 ~k:9 points in
+  Alcotest.(check bool) "k>n identical" true (results_equal expected got);
+  Alcotest.(check int) "k clamped" 3 got.Sp_simpoint.Kmeans.k
+
+let test_kmeans_identical_points () =
+  (* all-duplicate input: seeding mass collapses to zero, every
+     distance ties at 0 *)
+  let points = Array.make 12 [| 0.5; 0.5; 0.5 |] in
+  let expected = naive_fit ~max_iters:4 ~seed:3 ~k:4 points in
+  let got = Sp_simpoint.Kmeans.fit ~max_iters:4 ~seed:3 ~k:4 points in
+  Alcotest.(check bool) "duplicates identical" true (results_equal expected got)
+
+(* ------------------------------------------------------------------ *)
+(* Seeding draw: binary-searched prefix pick vs the linear scan *)
+
+let prop_weighted_pick =
+  QCheck.Test.make ~name:"weighted_pick matches linear scan" ~count:300
+    (QCheck.make
+       ~print:(fun (ws, t) ->
+         Printf.sprintf "n=%d target=%f" (Array.length ws) t)
+       QCheck.Gen.(
+         pair
+           (array_size (1 -- 40) (float_bound_inclusive 10.0))
+           (float_bound_inclusive 1.2)))
+    (fun (weights, tfrac) ->
+      let n = Array.length weights in
+      let prefix = Array.make n 0.0 in
+      let acc = ref 0.0 in
+      for i = 0 to n - 1 do
+        acc := !acc +. weights.(i);
+        prefix.(i) <- !acc
+      done;
+      let target = tfrac *. !acc in
+      let linear =
+        let pick = ref (n - 1) in
+        (try
+           for i = 0 to n - 1 do
+             if prefix.(i) >= target then begin
+               pick := i;
+               raise Exit
+             end
+           done
+         with Exit -> ());
+        !pick
+      in
+      Sp_simpoint.Kmeans.weighted_pick prefix target = linear)
+
 let suite =
   [
     Alcotest.test_case "projection deterministic" `Quick test_projection_deterministic;
@@ -495,4 +784,9 @@ let suite =
     Alcotest.test_case "sampler name round-trip" `Quick test_sampler_names;
     Alcotest.test_case "stratified diagnostics" `Quick test_stratified_diagnostics;
     Alcotest.test_case "rss diagnostics" `Quick test_rss_diagnostics;
+    QCheck_alcotest.to_alcotest prop_projection_bit_identical;
+    QCheck_alcotest.to_alcotest prop_kmeans_matches_naive;
+    Alcotest.test_case "k exceeds n" `Quick test_kmeans_k_exceeds_n;
+    Alcotest.test_case "identical points" `Quick test_kmeans_identical_points;
+    QCheck_alcotest.to_alcotest prop_weighted_pick;
   ]

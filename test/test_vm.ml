@@ -86,6 +86,25 @@ let test_program_validation () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+let test_program_falls_off_end () =
+  (* the engines fetch [pc + 1] unchecked after a fallthrough, a
+     not-taken branch or a call's return *)
+  List.iter
+    (fun (what, instrs) ->
+      match Program.of_instrs ~name:what instrs with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("straight-line", [| Isa.Li (1, 5) |]);
+      ("two lis", [| Isa.Li (1, 5); Isa.Li (2, 6) |]);
+      ("branch", [| Isa.Li (1, 5); Isa.Branch (Isa.Eq, 1, 1, 0) |]);
+      ("call", [| Isa.Halt; Isa.Call 0 |]);
+      ("sys", [| Isa.Sys (0, 1) |]);
+    ];
+  List.iter
+    (fun last -> ignore (Program.of_instrs [| Isa.Li (1, 5); last |]))
+    [ Isa.Halt; Isa.Jump 0; Isa.Ret ]
+
 let test_fetch_addr () =
   let p = Program.of_instrs ~code_base:0x1000 [| Isa.Halt |] in
   Alcotest.(check int) "fetch" (0x1000 + (0 * Isa.bytes_per_instr))
@@ -444,6 +463,85 @@ let test_snapshot_isolation () =
     (Memory.load restored.Interp.mem 0x100);
   Alcotest.(check int) "icount recorded" 500 (Snapshot.icount snap)
 
+(* ------------------------------------------------------------------ *)
+(* Memory TLB: slot-collision aliasing against the Hashtbl model, and
+   clear/copy invalidation *)
+
+let prop_tlb_aliasing =
+  QCheck.Test.make ~name:"TLB slot aliasing matches model" ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(10 -- 120)
+        (triple (int_range 0 5) (int_range 0 3) (pair bool int)))
+    (fun ops ->
+      (* page stride * tlb size: consecutive ops alias the same
+         direct-mapped slot with different tags *)
+      let slot_stride = 64 * Memory.page_bytes in
+      let mem = Memory.create () in
+      let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
+      List.for_all
+        (fun (way, off, (is_store, v)) ->
+          let addr = (way * slot_stride) + (off * 8) in
+          if is_store then begin
+            Memory.store mem addr v;
+            Hashtbl.replace model addr v;
+            true
+          end
+          else
+            Memory.load mem addr
+            = Option.value ~default:0 (Hashtbl.find_opt model addr))
+        ops)
+
+let test_tlb_clear_copy () =
+  let mem = Memory.create () in
+  Memory.store mem 0x100 7;
+  Memory.storef mem 0x100 1.5;
+  Alcotest.(check int) "store visible" 7 (Memory.load mem 0x100);
+  let dup = Memory.copy mem in
+  Memory.store dup 0x100 9;
+  Alcotest.(check int) "copy is independent" 7 (Memory.load mem 0x100);
+  Alcotest.(check int) "copy took the write" 9 (Memory.load dup 0x100);
+  Alcotest.(check (float 0.0)) "float view copied" 1.5 (Memory.loadf dup 0x100);
+  Memory.clear mem;
+  Alcotest.(check int) "clear drops int view" 0 (Memory.load mem 0x100);
+  Alcotest.(check (float 0.0)) "clear drops float view" 0.0
+    (Memory.loadf mem 0x100);
+  (* a TLB entry surviving clear would resurrect the old page *)
+  Memory.store mem 0x100 3;
+  Alcotest.(check int) "store after clear" 3 (Memory.load mem 0x100);
+  Alcotest.(check int) "copy unaffected by clear" 9 (Memory.load dup 0x100)
+
+(* ------------------------------------------------------------------ *)
+(* Per-program compilation cache: repeated runs (cache hits) and many
+   distinct programs (evictions) keep behaving like fresh compiles *)
+
+let test_cache_reuse_and_eviction () =
+  let mk i =
+    let a = Asm.create ~name:(Printf.sprintf "p%d" i) () in
+    Asm.li a 1 i;
+    Asm.alui a Isa.Add 1 1 1;
+    Asm.halt a;
+    Asm.assemble a
+  in
+  let progs = Array.init 40 mk in
+  (* interleave two passes so early programs are re-run after the cache
+     (limit 32) has evicted them *)
+  for pass = 1 to 2 do
+    Array.iteri
+      (fun i p ->
+        let m = Interp.create ~entry:p.Program.entry () in
+        (match Interp.run p m with
+        | Interp.Halted -> ()
+        | Interp.Out_of_fuel -> Alcotest.fail "unexpected out-of-fuel");
+        Alcotest.(check int)
+          (Printf.sprintf "pass %d: p%d result" pass i)
+          (i + 1) m.Interp.regs.(1);
+        Alcotest.(check int)
+          (Printf.sprintf "pass %d: p%d icount" pass i)
+          3 m.Interp.icount)
+      progs
+  done
+
 let suite =
   [
     Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
@@ -453,6 +551,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_memory_sparse;
     Alcotest.test_case "program blocks" `Quick test_program_blocks;
     Alcotest.test_case "program validation" `Quick test_program_validation;
+    Alcotest.test_case "program must not fall off its end" `Quick
+      test_program_falls_off_end;
     Alcotest.test_case "fetch addr" `Quick test_fetch_addr;
     Alcotest.test_case "asm labels" `Quick test_asm_forward_backward;
     Alcotest.test_case "asm unplaced label" `Quick test_asm_unplaced_label;
@@ -477,4 +577,9 @@ let suite =
       test_interp_fast_path_equivalent;
     Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
     Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
+    QCheck_alcotest.to_alcotest prop_tlb_aliasing;
+    Alcotest.test_case "TLB clear/copy invalidation" `Quick
+      test_tlb_clear_copy;
+    Alcotest.test_case "compiled cache reuse and eviction" `Quick
+      test_cache_reuse_and_eviction;
   ]
