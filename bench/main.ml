@@ -590,7 +590,13 @@ let () =
       jobs;
     }
   in
-  let suite_results = lazy (Pipeline.run_suite ~options ()) in
+  (* the shared suite run also collects Figure 4's opt-in sweep *)
+  let suite_results =
+    lazy
+      (Pipeline.run_suite
+         ~options:{ options with variance_ks = Experiments.fig4_ks }
+         ())
+  in
   let t0 = Unix.gettimeofday () in
   (* print each table; optionally also write it as CSV under --csv DIR *)
   let emit name tables =

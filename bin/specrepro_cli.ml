@@ -63,7 +63,7 @@ let quiet_arg =
 let jobs_arg =
   let doc =
     "Worker domains for the parallel stages (suite fan-out, regional \
-     replays, k-means, variance sweep).  1 runs fully sequentially; 0 picks \
+     replays, k-means).  1 runs fully sequentially; 0 picks \
      the hardware's recommended parallelism.  Any value produces identical \
      results — only wall-clock changes."
   in

@@ -17,9 +17,7 @@ let () =
     | [] -> (0.25, default_benches)
     | rest -> (0.25, rest)
   in
-  let options =
-    { Pipeline.default_options with slices_scale = scale; collect_variance = false }
-  in
+  let options = { Pipeline.default_options with slices_scale = scale } in
   Printf.printf "%-18s %10s %16s %15s %8s\n" "Benchmark" "perf CPI"
     "Sniper Regional" "Sniper Reduced" "err";
   let errs =

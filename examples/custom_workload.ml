@@ -38,7 +38,6 @@ let () =
     {
       Pipeline.default_options with
       slices_scale = 0.25;
-      collect_variance = false;
       progress = false;
     }
   in

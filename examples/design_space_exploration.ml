@@ -43,7 +43,6 @@ let () =
           {
             Pipeline.default_options with
             slices_scale = scale;
-            collect_variance = false;
             progress = false;
             cache_config;
           }

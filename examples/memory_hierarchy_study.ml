@@ -17,9 +17,7 @@ let () =
     if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 0.25
   in
   let spec = Sp_workloads.Suite.find bench in
-  let options =
-    { Pipeline.default_options with slices_scale = scale; collect_variance = false }
-  in
+  let options = { Pipeline.default_options with slices_scale = scale } in
   Printf.printf "Memory-hierarchy study on %s\n" spec.Sp_workloads.Benchspec.name;
   Printf.printf "(allcache hierarchy: Table I, capacity-scaled 1/%d)\n\n"
     Sp_cache.Config.sim_scale;

@@ -18,9 +18,7 @@ let () =
   Printf.printf "Benchmark: %s (%s)\n" spec.Sp_workloads.Benchspec.name
     (Sp_workloads.Benchspec.suite_class_name
        spec.Sp_workloads.Benchspec.suite_class);
-  let options =
-    { Pipeline.default_options with slices_scale = scale; collect_variance = false }
-  in
+  let options = { Pipeline.default_options with slices_scale = scale } in
   let r = Pipeline.run_benchmark ~options spec in
 
   Printf.printf "\nWhole run: %d instructions in %d slices of %d\n"

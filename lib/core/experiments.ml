@@ -73,7 +73,6 @@ let table2 results =
   t
 
 let table2_extended ?(options = Pipeline.default_options) () =
-  let options = { options with Pipeline.collect_variance = false } in
   let t =
     Table.create
       ~title:
@@ -197,6 +196,8 @@ let fig3b ?(options = Pipeline.default_options)
   t
 
 (* ------------------------------------------------------------------ *)
+
+let fig4_ks = [ 5; 10; 15; 20; 25; 30; 35 ]
 
 let fig4 results =
   let ks =
@@ -1836,16 +1837,16 @@ let samplers ?(options = Pipeline.default_options) ?specs () =
                 prof.Pipeline.sweep_slices
             in
             let pts = sel.Sp_simpoint.Sampler.points in
-            let cold =
-              Runstats.of_points ~label:"cold"
-                (Pipeline.replay_points options ~warmup_insns:0
-                   prof.Pipeline.sweep_whole pts)
-            in
-            let warm_pts =
-              Pipeline.replay_points options
+            let regions =
+              Pipeline.capture_regions
                 ~warmup_insns:options.Pipeline.warmup_insns
                 prof.Pipeline.sweep_whole pts
             in
+            let cold =
+              Runstats.of_points ~label:"cold"
+                (Pipeline.replay_regions options ~warm:false regions)
+            in
+            let warm_pts = Pipeline.replay_regions options ~warm:true regions in
             Pipeline.count_warm_points warm_pts;
             let warm = Runstats.of_points ~label:"warm" warm_pts in
             (prof, pts, cold, warm))

@@ -34,6 +34,10 @@ val fig3b : ?options:Pipeline.options -> ?slice_minsns:int list -> unit -> Table
 (** Figure 3(b): slice-size sensitivity at MaxK 35, from one BBV
     collection at 5-Minsn micro-slices re-aggregated per size. *)
 
+val fig4_ks : int list
+(** Figure 4's cluster counts (5 to 35): {!fig4} and {!fig4_chart} read
+    results run with [variance_ks = fig4_ks]. *)
+
 val fig4 : Pipeline.bench_result list -> Table.t
 (** Figure 4: average within-cluster variance per cluster-count. *)
 

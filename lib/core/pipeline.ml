@@ -13,7 +13,6 @@ type options = {
   next_line_prefetch : bool;
   core_config : Sp_cpu.Core_config.t;
   variance_ks : int list;
-  collect_variance : bool;
   progress : bool;
   jobs : int;
   pinball_cache : string option;
@@ -42,8 +41,7 @@ let default_options =
     cache_config = Sp_cache.Config.allcache_sim;
     next_line_prefetch = false;
     core_config = Sp_cpu.Core_config.i7_3770_sim;
-    variance_ks = [ 5; 10; 15; 20; 25; 30; 35 ];
-    collect_variance = true;
+    variance_ks = [];
     progress = true;
     (* sequential: parallel execution is strictly opt-in (--jobs), and
        every stage is bit-for-bit identical across job counts anyway *)
@@ -177,16 +175,18 @@ let stage ~bench ~timings name f =
 
 (* Replay one regional pinball under fresh per-point tools — the
    paper's Regional-Run methodology, where every pinball is an
-   independent job.  The warm prefix (empty for a cold Regional Run)
-   runs with the cache and timing tools warming: state trains,
-   statistics stay zero.  The flag flips at the prefix/region boundary
-   and the region runs measured, with a fresh ldst-mix attached.  Fresh
-   tools are exactly equivalent to a shared scan's [reset_state] at
-   each window start — construction and reset produce identical state
-   under the pipeline's replacement policies (LRU/FIFO; [Random] keeps
-   a replacement RNG that a reset does not re-seed) — so per-point
-   statistics match a sequential scan bit for bit. *)
-let replay_region options (wr : Logger.warm_region) =
+   independent job.  The warm prefix runs with the cache and timing
+   tools warming ([~warm:true]: state trains, statistics stay zero) or
+   with no tools at all ([~warm:false], the cold Regional Run: the
+   tools first see the region as built).  The flag flips at the
+   prefix/region boundary and the region runs measured, with a fresh
+   ldst-mix attached.  Fresh tools are exactly equivalent to a shared
+   scan's [reset_state] at each window start — construction and reset
+   produce identical state under the pipeline's replacement policies
+   (LRU/FIFO; [Random] keeps a replacement RNG that a reset does not
+   re-seed) — so per-point statistics match a sequential scan bit for
+   bit. *)
+let replay_region options ~warm (wr : Logger.warm_region) =
   Sp_obs.Tracer.with_span ~cat:"replay" "region-replay" @@ fun () ->
   let pb = wr.Logger.warm_pinball in
   let prog = pb.Pinball.program in
@@ -199,10 +199,11 @@ let replay_region options (wr : Logger.warm_region) =
   let warm_hooks =
     [ Allcache_tool.hooks cache; Sp_cpu.Interval_core.hooks core ]
   in
-  Allcache_tool.set_warming cache true;
-  Sp_cpu.Interval_core.set_warming core true;
+  Allcache_tool.set_warming cache warm;
+  Sp_cpu.Interval_core.set_warming core warm;
   let result =
-    Replayer.replay_prefixed ~prefix_tools:warm_hooks
+    Replayer.replay_prefixed
+      ~prefix_tools:(if warm then warm_hooks else [])
       ~tools:(Ldstmix.hooks mixt :: warm_hooks)
       ~prefix:wr.Logger.warm_prefix
       ~on_region:(fun () ->
@@ -226,23 +227,25 @@ let replay_region options (wr : Logger.warm_region) =
     cpi = Sp_cpu.Interval_core.cpi core;
   }
 
-let replay_points options ~warmup_insns (whole : Logger.whole) points =
-  let regions =
-    Sp_obs.Tracer.with_span ~cat:"replay" "region-capture" (fun () ->
-        Logger.capture_warm_regions ~warmup_insns whole
-          (Sp_simpoint.Simpoints.by_start points))
-  in
-  (* each worker takes its region out of [pending] before replaying it,
-     so a replayed region's snapshot is garbage at once instead of
-     staying pinned until the stage's last replay finishes *)
-  let pending = Array.map (fun r -> ref (Some r)) regions in
+let capture_regions ~warmup_insns (whole : Logger.whole) points =
+  Sp_obs.Tracer.with_span ~cat:"replay" "region-capture" (fun () ->
+      Logger.capture_warm_regions ~warmup_insns whole
+        (Sp_simpoint.Simpoints.by_start points)
+      |> Array.map Option.some)
+
+let replay_regions options ~warm regions =
   Sp_util.Pool.parallel_map ~jobs:options.jobs
-    (fun cell ->
-      let r = Option.get !cell in
-      cell := None;
-      replay_region options r)
-    pending
+    (fun i ->
+      let r = Option.get regions.(i) in
+      (* a warm replay is the set's last use: taking the region out
+         makes its snapshot garbage once replayed, not at stage end *)
+      if warm then regions.(i) <- None;
+      replay_region options ~warm r)
+    (Array.init (Array.length regions) Fun.id)
   |> Array.to_list
+
+let replay_points options ~warmup_insns whole points =
+  replay_regions options ~warm:true (capture_regions ~warmup_insns whole points)
 
 let count_warm_points points =
   Sp_obs.Metrics.add M.warm_points (List.length points)
@@ -465,11 +468,11 @@ let run_benchmark ?(options = default_options) spec =
   Sp_obs.Metrics.add M.select_points
     (Array.length sel.Sp_simpoint.Sampler.points);
   let variance =
-    if options.collect_variance then
+    if options.variance_ks = [] then []
+    else
       stage ~bench ~timings "variance" (fun () ->
           Sp_simpoint.Variance.sweep ~config:options.simpoint_config
             ~ks:options.variance_ks slices)
-    else []
   in
   let whole_stats =
     Runstats.of_whole ~label:"Whole" ~insns:whole.Logger.total_insns
@@ -482,19 +485,20 @@ let run_benchmark ?(options = default_options) spec =
   in
   progressf options "[%s] %d simulation points; replaying regions...\n" bench
     (Array.length sel.Sp_simpoint.Sampler.points);
-  (* cold regional replays (Regional / Reduced Regional) *)
-  let cold =
+  (* one capture, timed in cold-replay (its first user), serves the
+     cold replays (Regional / Reduced Regional) and then the warmed
+     ones (Section IV-D's mitigation) *)
+  let regions, cold =
     stage ~bench ~timings "cold-replay" (fun () ->
-        replay_points options ~warmup_insns:0 whole
-          sel.Sp_simpoint.Sampler.points)
-  in
-  (* warmed regional replays: Section IV-D's mitigation *)
-  let warm =
-    stage ~bench ~timings "warm-replay" (fun () ->
-        let pts =
-          replay_points options ~warmup_insns:options.warmup_insns whole
+        let regions =
+          capture_regions ~warmup_insns:options.warmup_insns whole
             sel.Sp_simpoint.Sampler.points
         in
+        (regions, replay_regions options ~warm:false regions))
+  in
+  let warm =
+    stage ~bench ~timings "warm-replay" (fun () ->
+        let pts = replay_regions options ~warm:true regions in
         count_warm_points pts;
         pts)
   in

@@ -25,8 +25,7 @@ type options = {
   next_line_prefetch : bool;
       (** enable the allcache next-line prefetcher (ablation) *)
   core_config : Sp_cpu.Core_config.t;        (** Table III *)
-  variance_ks : int list;   (** cluster counts for the Figure 4 sweep *)
-  collect_variance : bool;
+  variance_ks : int list;   (** Figure 4's ks; [[]] (default) runs no sweep *)
   progress : bool;          (** progress lines on stderr *)
   jobs : int;
       (** domain-pool width for the parallel stages (suite fan-out,
@@ -93,8 +92,9 @@ type selection_summary = {
 type stage_timing = { stage : string; seconds : float }
 
 (** Machine-readable account of where a benchmark's wall time went:
-    one entry per pipeline stage (build, log+profile, select, variance,
-    cold-replay, warm-replay), in execution order.  Collected
+    one entry per pipeline stage (build, log+profile, select, variance
+    if [variance_ks <> []], cold-replay with the shared region capture,
+    warm-replay), in execution order.  Collected
     unconditionally — it does not require tracing to be enabled. *)
 type run_report = {
   jobs_used : int;  (** the effective [options.jobs] for this run *)
@@ -184,20 +184,32 @@ val profile_for_sweep :
     pinball for repeated re-clustering.  [slice_insns] overrides the
     BBV granularity (Figure 3(b) collects 5-Minsn micro-slices). *)
 
+val capture_regions :
+  warmup_insns:int -> Sp_pinball.Logger.whole ->
+  Sp_simpoint.Simpoints.point array ->
+  Sp_pinball.Logger.warm_region option array
+(** {!Sp_pinball.Logger.capture_warm_regions} of the points in
+    [start_icount] order, in a [region-capture] trace span: the region
+    set {!replay_regions} consumes (every slot [Some]). *)
+
+val replay_regions :
+  options -> warm:bool -> Sp_pinball.Logger.warm_region option array ->
+  Runstats.point_stats list
+(** Replay a region set with fresh per-point tools across the domain
+    pool ([options.jobs]; bit-identical at every job count).
+    [~warm:true] is the Warmup Regional Run; [~warm:false] runs each
+    prefix untooled, which gives the cold Regional Run's statistics.
+    So one set serves both, cold first: a warm replay is its last use
+    and empties each slot as it goes. *)
+
 val replay_points :
   options -> warmup_insns:int -> Sp_pinball.Logger.whole ->
   Sp_simpoint.Simpoints.point array -> Runstats.point_stats list
-(** Regional replays of the given points, returned in [start_icount]
-    order.  Each point is carved as a self-contained warm-prefixed
-    regional pinball ({!Sp_pinball.Logger.capture_warm_regions}) and
-    replayed with fresh per-point tool state
-    ({!Sp_pinball.Replayer.replay_prefixed}), so the replays fan out
-    across the domain pool ([options.jobs]) with bit-identical results
-    at every job count.  [~warmup_insns:0] is the cold Regional Run (no
-    prefix); a positive window is the Warmup Regional Run. *)
+(** {!capture_regions} then a warm {!replay_regions}, in
+    [start_icount] order: [~warmup_insns:0] is the cold Regional Run,
+    a positive window the Warmup Regional Run. *)
 
 val count_warm_points : Runstats.point_stats list -> unit
-(** Add the points to the stable [warm.points] counter.  Callers
-    running the Warmup Regional methodology through {!replay_points}
-    call it once per replay set; cold Regional replays are not
-    counted. *)
+(** Add the points to the stable [warm.points] counter: callers of the
+    Warmup Regional Run call it once per replay set; cold Regional
+    replays are not counted. *)

@@ -39,7 +39,6 @@ type t = {
   chosen_k : int;
   points : point array;
   assignment : int array;
-  projected : float array array;
   bic_curve : (int * float) list;
 }
 
@@ -52,7 +51,8 @@ let subsample cap points =
   if n <= cap then points else Array.init cap (fun i -> points.(i * n / cap))
 
 (* Fit on the (sub)sample, then produce a full-set clustering result. *)
-let cluster config ~k projected sample =
+let cluster config ~k projected =
+  let sample = subsample config.sample_cap projected in
   let fitted =
     Kmeans.fit ~max_iters:config.kmeans_iters ~seed:(config.seed + k)
       ~jobs:config.jobs ~k sample
@@ -112,7 +112,6 @@ let build config ~slice_len slices projected result bic_curve =
     chosen_k = result.Kmeans.k;
     points = representatives slices projected result;
     assignment = result.Kmeans.assignment;
-    projected;
     bic_curve;
   }
 
@@ -124,8 +123,7 @@ let project_or ~config projected slices =
 let select_with_k ?(config = default_config) ?projected ~slice_len ~k slices =
   if Array.length slices = 0 then invalid_arg "Simpoints.select_with_k: no slices";
   let projected = project_or ~config projected slices in
-  let sample = subsample config.sample_cap projected in
-  let result = cluster config ~k projected sample in
+  let result = cluster config ~k projected in
   let bic = Bic.score result projected in
   build config ~slice_len slices projected result [ (k, bic) ]
 
@@ -134,11 +132,10 @@ let select_with_k ?(config = default_config) ?projected ~slice_len ~k slices =
 let select ?(config = default_config) ?projected ~slice_len slices =
   if Array.length slices = 0 then invalid_arg "Simpoints.select: no slices";
   let projected = project_or ~config projected slices in
-  let sample = subsample config.sample_cap projected in
   let max_k = min config.max_k (Array.length slices) in
   let cache = Hashtbl.create 16 in
   let compute k =
-    let result = cluster config ~k projected sample in
+    let result = cluster config ~k projected in
     (result, Bic.score result projected)
   in
   (* [demanded] records the ks the sequential search logic actually

@@ -35,7 +35,6 @@ type t = {
   chosen_k : int;
   points : point array;     (** one per non-empty cluster, by cluster id *)
   assignment : int array;   (** cluster id per slice *)
-  projected : float array array; (** projected slice vectors (for variance) *)
   bic_curve : (int * float) list; (** (k, BIC) at each evaluated k *)
 }
 
@@ -51,8 +50,12 @@ val select : ?config:config -> ?projected:float array array ->
 
 val select_with_k : ?config:config -> ?projected:float array array ->
   slice_len:int -> k:int -> Sp_pin.Bbv_tool.slice array -> t
-(** Like {!select} but with a forced cluster count (used by the MaxK
-    sensitivity sweep). *)
+(** Like {!select} but with a forced cluster count. *)
+
+val cluster : config -> k:int -> float array array -> Kmeans.result
+(** The fit {!select} computes at [k]: k-means seeded by
+    [config.seed + k] on the {!subsample} of the projected slices, then
+    every slice assigned to its nearest (sample-fitted) centroid. *)
 
 val subsample : int -> 'a array -> 'a array
 (** [subsample cap xs] is [xs] when it has at most [cap] elements, and

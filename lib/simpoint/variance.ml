@@ -1,64 +1,43 @@
-type sweep_point = {
-  k : int;
-  avg_variance : float;
-  max_variance : float;
-  distortion : float;
-}
+type sweep_point = { k : int; avg_variance : float }
 
-let at_k ?(config = Simpoints.default_config) ~k slices =
-  let t = Simpoints.select_with_k ~config ~slice_len:1 ~k slices in
-  let result : Kmeans.result =
-    (* rebuild a Kmeans.result view from the selection for variance *)
-    let k' = t.Simpoints.chosen_k in
-    let centroids =
-      (* centroid = mean of member points *)
-      let dim = Array.length t.Simpoints.projected.(0) in
-      let sums = Array.init k' (fun _ -> Array.make dim 0.0) in
-      let sizes = Array.make k' 0 in
-      Array.iteri
-        (fun i j ->
-          sizes.(j) <- sizes.(j) + 1;
-          let p = t.Simpoints.projected.(i) in
-          let s = sums.(j) in
-          for x = 0 to dim - 1 do
-            s.(x) <- s.(x) +. p.(x)
-          done)
-        t.Simpoints.assignment;
-      Array.mapi
-        (fun j s ->
-          if sizes.(j) = 0 then s
-          else Array.map (fun x -> x /. float_of_int sizes.(j)) s)
-        sums
-    in
-    let sizes = Array.make k' 0 in
-    Array.iter (fun j -> sizes.(j) <- sizes.(j) + 1) t.Simpoints.assignment;
-    let distortion = ref 0.0 in
-    Array.iteri
-      (fun i j ->
-        distortion :=
-          !distortion +. Kmeans.sq_distance t.Simpoints.projected.(i) centroids.(j))
-      t.Simpoints.assignment;
-    {
-      Kmeans.k = k';
-      assignment = t.Simpoints.assignment;
-      centroids;
-      sizes;
-      distortion = !distortion;
-    }
+(* Cluster the projected slices at [k] and measure the spread inside
+   each cluster around the mean of its members — not around the fitted
+   centroids, which [Simpoints.cluster] fits on a subsample. *)
+let at_k ~config ~k projected =
+  let fit = Simpoints.cluster config ~k projected in
+  let sums = Array.make_matrix fit.Kmeans.k (Array.length projected.(0)) 0.0 in
+  Array.iteri
+    (fun i j ->
+      let s = sums.(j) in
+      Array.iteri (fun x v -> s.(x) <- s.(x) +. v) projected.(i))
+    fit.Kmeans.assignment;
+  let centroids =
+    Array.mapi
+      (fun j s ->
+        let n = fit.Kmeans.sizes.(j) in
+        if n = 0 then s else Array.map (fun x -> x /. float_of_int n) s)
+      sums
   in
-  let variances = Kmeans.within_cluster_variance result t.Simpoints.projected in
-  let nonempty = Array.of_list (List.filter (fun v -> v >= 0.0) (Array.to_list variances)) in
   {
-    k = result.Kmeans.k;
-    avg_variance = Sp_util.Stats.mean nonempty;
-    max_variance = Array.fold_left Float.max 0.0 variances;
-    distortion = result.Kmeans.distortion;
+    k = fit.Kmeans.k;
+    avg_variance =
+      Sp_util.Stats.mean
+        (Kmeans.within_cluster_variance { fit with Kmeans.centroids } projected);
   }
 
-(* Each k is an independent clustering problem; fan the sweep out
-   across the domain pool (input order is preserved). *)
+(* Project once for the whole sweep; each k is then an independent
+   clustering problem, fanned out across the domain pool (input order
+   is preserved). *)
 let sweep ?(config = Simpoints.default_config) ~ks slices =
-  Sp_util.Pool.parallel_map ~jobs:config.Simpoints.jobs
-    (fun k -> at_k ~config ~k slices)
-    (Array.of_list ks)
-  |> Array.to_list
+  match ks with
+  | [] -> []
+  | ks ->
+      if Array.length slices = 0 then invalid_arg "Variance.sweep: no slices";
+      let projected =
+        Projection.project ~dim:config.Simpoints.proj_dim
+          ~seed:config.Simpoints.seed slices
+      in
+      Sp_util.Pool.parallel_map ~jobs:config.Simpoints.jobs
+        (fun k -> at_k ~config ~k projected)
+        (Array.of_list ks)
+      |> Array.to_list

@@ -5,15 +5,13 @@
 type sweep_point = {
   k : int;
   avg_variance : float;  (** mean over clusters of within-cluster variance *)
-  max_variance : float;
-  distortion : float;
 }
-
-val at_k :
-  ?config:Simpoints.config -> k:int -> Sp_pin.Bbv_tool.slice array -> sweep_point
-(** Cluster at exactly [k] and measure variance. *)
 
 val sweep :
   ?config:Simpoints.config -> ks:int list -> Sp_pin.Bbv_tool.slice array ->
   sweep_point list
-(** Variance at each cluster count in [ks] (Figure 4's x-axis). *)
+(** Variance at each cluster count in [ks] (Figure 4's x-axis): the
+    slices are projected once, then clustered at each k as
+    {!Simpoints.cluster} does.  [ks = []] does no work.
+    @raise Invalid_argument if [ks] is non-empty and there are no
+    slices. *)

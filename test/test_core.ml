@@ -7,7 +7,6 @@ let tiny_options =
   {
     Pipeline.default_options with
     slices_scale = 0.05;
-    collect_variance = true;
     variance_ks = [ 3; 8 ];
     progress = false;
   }
@@ -226,7 +225,6 @@ let test_pinball_cache_reuse () =
        (quarantine, re-store), which the in-memory cache would mask *)
     {
       tiny_options with
-      collect_variance = false;
       pinball_cache = Some dir;
       mem_cache_mb = 0;
     }
@@ -283,7 +281,6 @@ let test_profile_cache_reuse () =
        below assume every lookup reaches the files *)
     {
       tiny_options with
-      collect_variance = false;
       profile_cache = Some dir;
       mem_cache_mb = 0;
     }
@@ -380,7 +377,7 @@ let test_pipeline_stays_compiled () =
   and compiled0 = counter "vm.runs.compiled" in
   ignore
     (Pipeline.run_benchmark
-       ~options:{ tiny_options with collect_variance = false; jobs = 1 }
+       ~options:{ tiny_options with variance_ks = []; jobs = 1 }
        (Sp_workloads.Suite.find "648.exchange2_s"));
   Alcotest.(check (float 0.0)) "no reference-engine runs" 0.0
     (counter "vm.runs.hooked" -. hooked0);

@@ -118,9 +118,12 @@ let test_variance_config_passthrough () =
           bbv = [| (i mod 3, 100) |];
         })
   in
-  let v = Sp_simpoint.Variance.at_k ~k:3 slices in
-  Alcotest.(check int) "k respected" 3 v.Sp_simpoint.Variance.k;
-  Alcotest.(check (float 1e-9)) "clean separation" 0.0 v.Sp_simpoint.Variance.avg_variance
+  match Sp_simpoint.Variance.sweep ~ks:[ 3 ] slices with
+  | [ v ] ->
+      Alcotest.(check int) "k respected" 3 v.Sp_simpoint.Variance.k;
+      Alcotest.(check (float 1e-9)) "clean separation" 0.0
+        v.Sp_simpoint.Variance.avg_variance
+  | _ -> Alcotest.fail "one sweep point per k"
 
 (* ------------------------------------------------------------------ *)
 (* Memory bounds: capped fills keep resident memory proportional *)
@@ -180,7 +183,6 @@ let test_run_suite_subset () =
     {
       Specrepro.Pipeline.default_options with
       slices_scale = 0.02;
-      collect_variance = false;
       progress = false;
     }
   in

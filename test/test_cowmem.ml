@@ -235,7 +235,6 @@ let test_pipeline_jobs_parity_with_mem_cache () =
       Pipeline.default_options with
       slices_scale = 0.05;
       progress = false;
-      collect_variance = false;
       pinball_cache = Some dir;
       profile_cache = Some dir;
       mem_cache_mb = 64;

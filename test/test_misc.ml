@@ -148,7 +148,6 @@ let test_cpistack_shares () =
     {
       Specrepro.Pipeline.default_options with
       slices_scale = 0.02;
-      collect_variance = false;
       progress = false;
     }
   in

@@ -193,7 +193,6 @@ let tiny_options =
   {
     Specrepro.Pipeline.default_options with
     slices_scale = 0.02;
-    collect_variance = false;
     progress = false;
   }
 

@@ -341,8 +341,7 @@ let test_pipeline_trace_stage_containment () =
       match List.find_opt (fun s -> s.R.label = stage) r.R.stages with
       | Some s -> Alcotest.(check int) (stage ^ " ran once") 1 s.R.count
       | None -> Alcotest.fail ("missing stage span: " ^ stage))
-    [ "build"; "log+profile"; "select"; "variance"; "cold-replay";
-      "warm-replay" ];
+    [ "build"; "log+profile"; "select"; "cold-replay"; "warm-replay" ];
   let stage_sum =
     List.fold_left (fun acc s -> acc +. s.R.total_us) 0.0 r.R.stages
   in
@@ -355,6 +354,39 @@ let test_pipeline_trace_stage_containment () =
     (stage_sum <= bench_total +. 1e-6);
   Alcotest.(check bool) "benchmark span within the trace wall" true
     (bench_total <= r.R.wall_us +. 1e-6)
+
+(* The default pipeline runs no Figure 4 sweep and captures the
+   benchmark's regions once: the cold and warm replay stages share one
+   [region-capture] span. *)
+let test_default_run_one_capture_no_sweep () =
+  let r, trace =
+    with_tracing @@ fun () ->
+    let r =
+      Specrepro.Pipeline.run_benchmark ~options:(pipeline_options 1)
+        (Sp_workloads.Suite.find "657.xz_s")
+    in
+    (r, T.to_json ())
+  in
+  Alcotest.(check int) "no sweep collected" 0
+    (List.length r.Specrepro.Pipeline.variance);
+  Alcotest.(check (list string)) "stages"
+    [ "build"; "log+profile"; "select"; "cold-replay"; "warm-replay" ]
+    (List.map
+       (fun (t : Specrepro.Pipeline.stage_timing) -> t.stage)
+       r.Specrepro.Pipeline.report.Specrepro.Pipeline.stages);
+  let begins name =
+    Option.bind (J.member "traceEvents" trace) J.to_list
+    |> Option.value ~default:[]
+    |> List.filter (fun e ->
+           let str k = Option.bind (J.member k e) J.to_str in
+           str "name" = Some name && str "ph" = Some "B")
+    |> List.length
+  in
+  Alcotest.(check int) "one region capture" 1 (begins "region-capture");
+  Alcotest.(check int) "no variance span" 0 (begins "variance");
+  Alcotest.(check int) "each point replayed cold and warm"
+    (2 * Array.length r.Specrepro.Pipeline.selection.points)
+    (begins "region-replay")
 
 let suite =
   [
@@ -387,4 +419,6 @@ let suite =
       test_stable_metrics_jobs_equivalence;
     Alcotest.test_case "pipeline trace stage containment" `Slow
       test_pipeline_trace_stage_containment;
+    Alcotest.test_case "default run: one capture, no sweep" `Slow
+      test_default_run_one_capture_no_sweep;
   ]

@@ -137,7 +137,6 @@ let parallel_test_options jobs =
     Specrepro.Pipeline.default_options with
     slices_scale = 0.04;
     variance_ks = [ 3; 5 ];
-    collect_variance = true;
     progress = false;
     jobs;
   }

@@ -278,6 +278,55 @@ let test_variance_decreases_with_k () =
         (low_k.Variance.avg_variance > high_k.Variance.avg_variance)
   | _ -> Alcotest.fail "expected two sweep points"
 
+(* The sweep's reference, written out the long way: a full selection
+   at each forced k, then every cluster's spread around the mean of its
+   members.  A sample cap below the slice count makes the fitted
+   centroids differ from those means, so the sweep must rebuild them. *)
+let test_variance_sweep_matches_reference () =
+  let slices = planted_slices ~phases:5 ~per_phase:30 ~noise:6 () in
+  let config = { Simpoints.default_config with sample_cap = 40 } in
+  let ks = [ 2; 5; 9 ] in
+  let projected =
+    Projection.project ~dim:config.proj_dim ~seed:config.seed slices
+  in
+  let reference k =
+    let sel = Simpoints.select_with_k ~config ~slice_len:100 ~k slices in
+    let k = sel.Simpoints.chosen_k and assignment = sel.Simpoints.assignment in
+    let dim = Array.length projected.(0) in
+    let sums = Array.init k (fun _ -> Array.make dim 0.0) in
+    let sizes = Array.make k 0 in
+    Array.iteri
+      (fun i j ->
+        sizes.(j) <- sizes.(j) + 1;
+        for x = 0 to dim - 1 do
+          sums.(j).(x) <- sums.(j).(x) +. projected.(i).(x)
+        done)
+      assignment;
+    let means =
+      Array.mapi
+        (fun j s ->
+          if sizes.(j) = 0 then s
+          else Array.map (fun x -> x /. float_of_int sizes.(j)) s)
+        sums
+    in
+    let spread = Array.make k 0.0 in
+    Array.iteri
+      (fun i j ->
+        spread.(j) <- spread.(j) +. Kmeans.sq_distance projected.(i) means.(j))
+      assignment;
+    let per_cluster =
+      Array.mapi
+        (fun j t -> if sizes.(j) = 0 then 0.0 else t /. float_of_int sizes.(j))
+        spread
+    in
+    { Variance.k; avg_variance = Sp_util.Stats.mean per_cluster }
+  in
+  Alcotest.(check bool) "sweep = per-k selection reference" true
+    (Stdlib.compare (Variance.sweep ~config ~ks slices) (List.map reference ks)
+    = 0);
+  Alcotest.(check int) "no ks, no points" 0
+    (List.length (Variance.sweep ~config ~ks:[] [||]))
+
 (* ------------------------------------------------------------------ *)
 (* Systematic design bugfixes *)
 
@@ -769,6 +818,8 @@ let suite =
     Alcotest.test_case "aggregate merge" `Quick test_aggregate_merge;
     Alcotest.test_case "aggregate identity" `Quick test_aggregate_identity;
     Alcotest.test_case "variance vs k" `Quick test_variance_decreases_with_k;
+    Alcotest.test_case "variance sweep = selection reference" `Quick
+      test_variance_sweep_matches_reference;
     Alcotest.test_case "vli merges stable phases" `Quick test_vli_merges_stable_phases;
     Alcotest.test_case "vli max length" `Quick test_vli_max_len;
     Alcotest.test_case "vli instruction weights" `Quick test_vli_select_weights;

@@ -143,6 +143,63 @@ let prop_parallel_matches_scan =
                ])
            warmups)
 
+(* One captured set serves both runs: the cold replays run each prefix
+   untooled and must equal the fresh-tools cold scan for every warmup
+   window; the warm replay that follows consumes the same set. *)
+let prop_shared_capture_matches_scan =
+  QCheck.Test.make
+    ~name:"shared capture: cold then warm replay = scan references" ~count:40
+    (QCheck.make case_gen) (fun (iters, ops, spec) ->
+      let prog = build_program ~iters ops in
+      let whole = Logger.log_whole ~benchmark:"warm-shared" prog in
+      let points =
+        Array.of_list (points_of_spec whole.Logger.total_insns spec)
+      in
+      let cold_ref = Scan_reference.cold_replay_points_scan options whole points in
+      List.for_all
+        (fun wu ->
+          let warm_ref =
+            Scan_reference.replay_points_scan options ~warmup_insns:wu whole
+              points
+          in
+          List.for_all
+            (fun jobs ->
+              let options = { options with jobs } in
+              let regions = Pipeline.capture_regions ~warmup_insns:wu whole points in
+              let cold = Pipeline.replay_regions options ~warm:false regions in
+              let warm = Pipeline.replay_regions options ~warm:true regions in
+              Stdlib.compare cold cold_ref = 0
+              && Stdlib.compare warm warm_ref = 0
+              && Array.for_all Option.is_none regions)
+            [ 1; 3 ])
+        warmups)
+
+(* [run_benchmark] on a real workload: its cold and warm point
+   statistics equal the scan references over the same selection, with
+   no warmup and with a window wider than every gap between points *)
+let test_run_benchmark_matches_scan () =
+  let spec = Sp_workloads.Suite.find "657.xz_s" in
+  let base = { options with slices_scale = 0.04 } in
+  let whole = (Pipeline.profile_for_sweep ~options:base spec).Pipeline.sweep_whole in
+  let wide = whole.Logger.total_insns + 1 in
+  List.iter
+    (fun (warmup_insns, jobs) ->
+      let r =
+        Pipeline.run_benchmark ~options:{ base with warmup_insns; jobs } spec
+      in
+      let points = r.Pipeline.selection.Pipeline.points in
+      let label what = Printf.sprintf "%s, warmup %d, jobs %d" what warmup_insns jobs in
+      Alcotest.(check bool) (label "several points") true (Array.length points > 1);
+      Alcotest.(check bool) (label "cold = cold scan") true
+        (Stdlib.compare r.Pipeline.point_stats
+           (Scan_reference.cold_replay_points_scan base whole points)
+        = 0);
+      Alcotest.(check bool) (label "warm = warm scan") true
+        (Stdlib.compare r.Pipeline.warm_point_stats
+           (Scan_reference.replay_points_scan base ~warmup_insns whole points)
+        = 0))
+    [ (0, 1); (0, 4); (wide, 1); (wide, 4) ]
+
 (* ------------------------------------------------------------------ *)
 (* tool-level equivalence, including the TLB statistics that point
    stats do not surface: capture_warm_regions + replay_prefixed with
@@ -274,6 +331,9 @@ let test_stable_metrics_jobs_invariant () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parallel_matches_scan;
+    QCheck_alcotest.to_alcotest prop_shared_capture_matches_scan;
+    Alcotest.test_case "run_benchmark = scan references" `Slow
+      test_run_benchmark_matches_scan;
     Alcotest.test_case "tool-level equivalence (caches + TLBs)" `Quick
       test_tool_level_equivalence;
     Alcotest.test_case "capture prefix clamping" `Quick
